@@ -3,6 +3,7 @@
 from .errors import (
     DegenerateRegression,
     DuplicateDate,
+    DuplicateInstrument,
     EmbeddingFailure,
     EmptyUniverse,
     HurstLabError,

@@ -62,3 +62,11 @@ class DuplicateDate(HurstLabError):
         super().__init__(message)
         self.instrument_id = instrument_id
         self.date = date
+
+
+class DuplicateInstrument(HurstLabError):
+    """Two series in one universe carry the same instrument id."""
+
+    def __init__(self, message: str, instrument_id: str):
+        super().__init__(message)
+        self.instrument_id = instrument_id

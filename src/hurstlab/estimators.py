@@ -1,15 +1,25 @@
 """Self-similarity exponent estimators: GHE, detrended fluctuation, block ranges.
 
-All three estimators reduce to the same recipe: build a scale-indexed
-statistic from the log-price window, regress its log against the log of
-the scale, and read the exponent off the slope.
+All three estimators reduce to the same recipe, computed for every row
+of a ``(rows, length)`` matrix of log-price windows at once: a row-wise
+kernel builds a ``(rows, scales)`` statistic, one row-wise least-squares
+fit (``series.fit_rows``) regresses its log against the log of the
+scale, and the exponent is read off each row's slope.
 
-* ``ghe``  -- q-th order moment of lagged increments, normalized by the
-  q-th moment of the signal level; the exponent is slope / q.
-* ``dfa``  -- fluctuation function of block-wise linearly detrended data,
+* GHE  -- q-th order moment of lagged increments, normalized by the
+  q-th moment of the signal level; the exponent is slope / q.  Lags
+  whose moment is exactly zero are left out of that row's fit.
+* DFA  -- fluctuation function of block-wise linearly detrended data,
   by default applied to the cumulative profile of mean-centered log
   returns (multifractal DFA with q = 2 giving the classical variant).
-* ``gm2``  -- mean max-min range of non-overlapping log-price blocks.
+* GM2  -- mean max-min range of non-overlapping log-price blocks.
+
+``estimate_rows`` runs one method over a window matrix.  A row whose
+statistic or fit is degenerate gets its own error and does not fail the
+matrix.  ``ghe``, ``dfa``, ``gm2`` and ``estimate`` are one-row calls of
+the same kernels and raise that error.  Each row is computed
+independently of the others, so its exponent is bit-identical whichever
+matrix it sits in.
 
 Block sizes are powers of two, ``m = 2**k`` for ``k_min <= k <= k_max``;
 blocks never overlap and any tail remainder shorter than ``m`` is
@@ -20,13 +30,12 @@ values outside (0, 2) are flagged suspect but still returned.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateRegression, SeriesTooShort, ZeroSignal
-from .series import LogSeries, RegressionFit, log_returns, ols_slope_xy
+from .series import LogSeries, RegressionFit, RowFits, fit_rows
 
 __all__ = [
     "Method",
@@ -36,6 +45,8 @@ __all__ = [
     "DFA_MODE_RAW",
     "default_config",
     "estimate",
+    "estimate_rows",
+    "is_suspect",
     "ghe",
     "dfa",
     "gm2",
@@ -99,7 +110,12 @@ class HEstimate:
     @property
     def suspect(self) -> bool:
         """True when the estimate falls outside the plausible (0, 2) band."""
-        return not (0.0 < self.h < 2.0)
+        return is_suspect(self.h)
+
+
+def is_suspect(h: float) -> bool:
+    """True when an exponent falls outside the plausible (0, 2) band."""
+    return not (0.0 < h < 2.0)
 
 
 def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE) -> EstimatorConfig:
@@ -139,19 +155,147 @@ def _check_scales(cfg: EstimatorConfig, partition_length: int, label: str) -> No
 
 
 def _blocks(values: np.ndarray, m: int) -> np.ndarray:
-    """Non-overlapping length-m blocks as a (d, m) view; tail remainder dropped."""
-    d = len(values) // m
-    return values[: d * m].reshape(d, m)
+    """Non-overlapping length-m blocks of the last axis, ``(..., d, m)``; tail remainder dropped."""
+    d = values.shape[-1] // m
+    return values[..., : d * m].reshape(*values.shape[:-1], d, m)
 
 
 def _lag_moment_ratio(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean |X(t+tau)-X(t)|**q over overlapping increments, over mean |X(t)|**q."""
-    denom = float(np.mean(np.abs(v) ** q))
-    if denom == 0.0:
-        raise ZeroSignal("ghe: all signal values are zero")
+    """Mean |X(t+tau)-X(t)|**q over overlapping increments, over mean |X(t)|**q.
+
+    Works along the last axis: ``v`` of shape ``(..., n)`` gives a
+    ``(..., tau_max)`` statistic.  An all-zero signal gives NaN or infinity.
+    """
+    n = v.shape[-1]
     taus = np.arange(1, tau_max + 1)
-    stat = np.array([np.mean(np.abs(v[t:] - v[:-t]) ** q) for t in taus]) / denom
-    return taus, stat
+    sums = np.empty((*v.shape[:-1], tau_max))
+    for i, t in enumerate(taus.tolist()):
+        increments = v[..., t:] - v[..., :-t]
+        sums[..., i] = (np.abs(increments, out=increments) ** q).sum(axis=-1)
+    level = (np.abs(v) ** q).sum(axis=-1, keepdims=True) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return taus, sums / (n - taus) / level
+
+
+def _detrended_fluctuations(signal: np.ndarray, scales, q: float) -> np.ndarray:
+    """``(rows, scales)`` DFA fluctuation ``(mean over blocks of B_i) ** (1/q)`` of each row.
+
+    Sums within blocks are matrix-vector products, one per row: fast for
+    short blocks, and a row's result does not depend on the other rows.
+    """
+    fluct = np.empty((signal.shape[0], len(scales)))
+    for i, m in enumerate(scales):
+        blocks = _blocks(signal, m)
+        t = np.arange(m, dtype=np.float64)
+        dt = t - t.mean()
+        ones = np.ones(m)
+        slopes = (blocks @ dt) / float(dt @ dt)
+        resid = blocks - (blocks @ ones / m)[..., None]
+        resid -= slopes[..., None] * dt
+        block_power = ((resid * resid) @ ones / m) ** (q / 2.0)
+        fluct[:, i] = (block_power.sum(axis=-1) / block_power.shape[-1]) ** (1.0 / q)
+    return fluct
+
+
+def _mean_block_ranges(values: np.ndarray, scales) -> np.ndarray:
+    """``(rows, scales)`` mean max-min range of the non-overlapping blocks of each row.
+
+    Block extremes at each dyadic scale come from pairs of blocks at the
+    scale below.  Each scale's ranges are summed in sorted order
+    (zero-padded to the most numerous scale), so each mean is exactly
+    independent of the order of the blocks.
+    """
+    counts = [values.shape[-1] // m for m in scales]
+    ranges = np.zeros((values.shape[0], len(scales), counts[0]))
+    blocks = _blocks(values, scales[0])
+    high, low = blocks.max(axis=-1), blocks.min(axis=-1)
+    for i, d in enumerate(counts):
+        if i:
+            high = np.maximum(high[:, 0 : 2 * d : 2], high[:, 1 : 2 * d : 2])
+            low = np.minimum(low[:, 0 : 2 * d : 2], low[:, 1 : 2 * d : 2])
+        np.subtract(high, low, out=ranges[:, i, :d])
+    ranges.sort(axis=-1)
+    return ranges.sum(axis=-1) / counts
+
+
+def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig, dfa_mode: str):
+    """Scales, the ``(rows, scales)`` statistic, and which points to fit (None: all)."""
+    if method is Method.GHE:
+        if windows.shape[1] <= cfg.tau_max:
+            raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {windows.shape[1]}")
+        taus, stat = _lag_moment_ratio(windows, cfg.q, cfg.tau_max)
+        # lags whose statistic is exactly zero carry no scaling information
+        return taus, stat, stat > 0.0
+    scales = cfg.scales()
+    if method is Method.GM2:
+        _check_scales(cfg, windows.shape[1], "gm2")
+        return np.array(scales), _mean_block_ranges(windows, scales), None
+    if dfa_mode == DFA_MODE_PROFILE:
+        if windows.shape[1] < 2:
+            raise SeriesTooShort("dfa: need at least 2 points to form returns")
+        increments = np.diff(windows, axis=1)
+        signal = np.cumsum(increments - increments.mean(axis=1, keepdims=True), axis=1)
+    else:
+        signal = windows
+    _check_scales(cfg, signal.shape[1], "dfa")
+    return np.array(scales), _detrended_fluctuations(signal, scales, cfg.q), None
+
+
+_ZERO_STATISTIC = {
+    Method.GHE: "ghe: every lag statistic is zero (constant series)",
+    Method.DFA: "dfa: zero fluctuation at some scale (block-wise linear input)",
+    Method.GM2: "gm2: zero mean range at some scale (constant blocks)",
+}
+
+
+def _statistic_error(method: Method, window: np.ndarray, stat: np.ndarray):
+    """Why one row's statistic admits no log-log fit, in the estimator's words; None if it does."""
+    if method is Method.GHE:
+        if not window.any():
+            return ZeroSignal("ghe: all signal values are zero")
+        degenerate = not (stat > 0.0).any()
+    else:
+        degenerate = (stat == 0.0).any()
+    return DegenerateRegression(_ZERO_STATISTIC[method]) if degenerate else None
+
+
+def estimate_rows(
+    method: Method,
+    windows: np.ndarray,
+    cfg: EstimatorConfig | None = None,
+    dfa_mode: str = DFA_MODE_PROFILE,
+) -> tuple[np.ndarray, RowFits]:
+    """Exponent and log-log fit of every row of a ``(rows, length)`` matrix of log prices.
+
+    Returns ``(h, fits)``.  A row whose statistic or fit is degenerate
+    holds NaN in ``h`` and its error in ``fits.errors``, with the message
+    the one-row estimator raises; a length too short for ``cfg`` raises
+    for the whole matrix.  Rows are computed independently of each other.
+    """
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method {method!r}")
+    if method is Method.DFA and dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+        raise ValueError(f"unknown dfa mode {dfa_mode!r}")
+    windows = np.ascontiguousarray(windows, dtype=np.float64)
+    if cfg is None:
+        cfg = default_config(method, windows.shape[1], dfa_mode=dfa_mode)
+        if method is Method.GHE:
+            cfg = replace(cfg, tau_max=min(19, windows.shape[1] - 1))
+    scales, stat, keep = _statistic(method, windows, cfg, dfa_mode)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = fit_rows(np.log(scales), np.log(stat), keep)
+    # a degenerate statistic always fails the fit; name that failure the estimator's way
+    for i in list(fits.errors):
+        fits.errors[i] = _statistic_error(method, windows[i], stat[i]) or fits.errors[i]
+    h = fits.slope / cfg.q if method is Method.GHE else fits.slope.copy()
+    if fits.errors:
+        h[list(fits.errors)] = np.nan
+    return h, fits
+
+
+def _one_row(method: Method, x: LogSeries, cfg: EstimatorConfig | None, dfa_mode: str) -> HEstimate:
+    h, fits = estimate_rows(method, x.values[None, :], cfg, dfa_mode)
+    return HEstimate(float(h[0]), fits.row(0), method, len(x))
 
 
 def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
@@ -164,29 +308,7 @@ def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     exactly zero carry no scaling information and are dropped before the
     fit; if none survive the regression degenerates.
     """
-    if cfg is None:
-        cfg = replace(default_config(Method.GHE, len(x)), tau_max=min(19, len(x) - 1))
-    v = x.values
-    n = len(v)
-    if n <= cfg.tau_max:
-        raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {n}")
-    taus, stat = _lag_moment_ratio(v, cfg.q, cfg.tau_max)
-    keep = stat > 0.0
-    if not np.any(keep):
-        raise DegenerateRegression("ghe: every lag statistic is zero (constant series)")
-    fit = ols_slope_xy(np.log(taus[keep]), np.log(stat[keep]))
-    return HEstimate(fit.slope / cfg.q, fit, Method.GHE, n)
-
-
-def _detrended_block_power(values: np.ndarray, m: int, q: float) -> np.ndarray:
-    """Per-block ``(mean of squared linear-detrend residuals) ** (q/2)``."""
-    blocks = _blocks(values, m)
-    t = np.arange(m, dtype=np.float64)
-    dt = t - t.mean()
-    sxx = float(dt @ dt)
-    slopes = (blocks @ dt) / sxx
-    resid = blocks - blocks.mean(axis=1, keepdims=True) - slopes[:, None] * dt[None, :]
-    return np.mean(resid ** 2, axis=1) ** (q / 2.0)
+    return _one_row(Method.GHE, x, cfg, DFA_MODE_PROFILE)
 
 
 def dfa(x: LogSeries, cfg: EstimatorConfig | None = None, mode: str = DFA_MODE_PROFILE) -> HEstimate:
@@ -199,27 +321,7 @@ def dfa(x: LogSeries, cfg: EstimatorConfig | None = None, mode: str = DFA_MODE_P
     with ``B_i = (mean squared residual) ** (q/2)``; the exponent is the
     slope of ``log F_m`` against ``log m``.
     """
-    if mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
-        raise ValueError(f"unknown dfa mode {mode!r}")
-    if cfg is None:
-        cfg = default_config(Method.DFA, len(x), dfa_mode=mode)
-    if mode == DFA_MODE_PROFILE:
-        if len(x) < 2:
-            raise SeriesTooShort("dfa: need at least 2 points to form returns")
-        increments = log_returns(x)
-        signal = np.cumsum(increments - increments.mean())
-    else:
-        signal = x.values
-    _check_scales(cfg, len(signal), "dfa")
-    scales = cfg.scales()
-    fluct = np.empty(len(scales))
-    for i, m in enumerate(scales):
-        block_power = _detrended_block_power(signal, m, cfg.q)
-        fluct[i] = np.mean(block_power) ** (1.0 / cfg.q)
-    if np.any(fluct == 0.0):
-        raise DegenerateRegression("dfa: zero fluctuation at some scale (block-wise linear input)")
-    fit = ols_slope_xy(np.log(np.array(scales, dtype=np.float64)), np.log(fluct))
-    return HEstimate(fit.slope, fit, Method.DFA, len(x))
+    return _one_row(Method.DFA, x, cfg, mode)
 
 
 def gm2(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
@@ -227,23 +329,10 @@ def gm2(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
 
     Each dyadic scale m partitions the values into non-overlapping
     blocks; the statistic is the mean of per-block max-min ranges and
-    the exponent is its log-log slope against m.  The mean is taken with
-    a compensated sum so it is exactly independent of block order.
+    the exponent is its log-log slope against m.  The mean is exactly
+    independent of block order.
     """
-    if cfg is None:
-        cfg = default_config(Method.GM2, len(x))
-    v = x.values
-    _check_scales(cfg, len(v), "gm2")
-    scales = cfg.scales()
-    mean_range = np.empty(len(scales))
-    for i, m in enumerate(scales):
-        blocks = _blocks(v, m)
-        ranges = blocks.max(axis=1) - blocks.min(axis=1)
-        mean_range[i] = math.fsum(ranges) / len(ranges)
-    if np.any(mean_range == 0.0):
-        raise DegenerateRegression("gm2: zero mean range at some scale (constant blocks)")
-    fit = ols_slope_xy(np.log(np.array(scales, dtype=np.float64)), np.log(mean_range))
-    return HEstimate(fit.slope, fit, Method.GM2, len(v))
+    return _one_row(Method.GM2, x, cfg, DFA_MODE_PROFILE)
 
 
 def estimate(
@@ -252,11 +341,5 @@ def estimate(
     cfg: EstimatorConfig | None = None,
     dfa_mode: str = DFA_MODE_PROFILE,
 ) -> HEstimate:
-    """Dispatch to the estimator named by ``method``."""
-    if method is Method.GHE:
-        return ghe(x, cfg)
-    if method is Method.DFA:
-        return dfa(x, cfg, mode=dfa_mode)
-    if method is Method.GM2:
-        return gm2(x, cfg)
-    raise ValueError(f"unknown method {method!r}")
+    """The estimator named by ``method``, on one series."""
+    return _one_row(method, x, cfg, dfa_mode)

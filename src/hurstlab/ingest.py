@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDate, MalformedRow, NonPositivePrice
+from .errors import DuplicateDate, DuplicateInstrument, MalformedRow, NonPositivePrice
 from .series import PriceSeries
 
 __all__ = ["CSV_HEADER", "ingest_csv", "ingest_rows", "ingest_dir", "emit_csv", "write_csv"]
@@ -94,10 +94,9 @@ def ingest_dir(path: str | Path) -> list[PriceSeries]:
     for file in files:
         for series in ingest_csv(file):
             if series.instrument_id in seen:
-                raise DuplicateDate(
+                raise DuplicateInstrument(
                     f"{file.name}: instrument {series.instrument_id} appears in multiple files",
                     series.instrument_id,
-                    None,
                 )
             seen.add(series.instrument_id)
             universe.append(series)

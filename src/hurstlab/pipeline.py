@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyUniverse, HurstLabError, TooFewObservations
-from .estimators import DFA_MODE_PROFILE, EstimatorConfig, Method, default_config, estimate
-from .series import LogSeries, PriceSeries, to_log_prices
+from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
+from .estimators import DFA_MODE_PROFILE, EstimatorConfig, Method, default_config, estimate_rows, is_suspect
+from .series import PriceSeries, to_log_prices
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -51,6 +52,7 @@ TAIL_LABELS = ("p90–95", "p>95")
 ANY_LABEL = "any"
 
 _MIN_OBS = {"quintile": 20, "tail": 40}
+_LABELS = {"quintile": QUINTILE_LABELS, "tail": TAIL_LABELS}
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,20 @@ def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
 def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     """Run the rolling protocol over every instrument in the universe.
 
+    Each instrument's windows form one ``(n_windows, window)`` matrix of
+    log prices, and every method estimates all of its rows in one call.
     Estimator failures at a position skip that (position, method) pair and
     are tallied as diagnostics; series too short for even one observation
-    produce a single diagnostic.
+    produce a single diagnostic.  Instrument ids must be unique.
     """
     series_list = sorted(universe, key=lambda s: s.instrument_id)
     if not series_list:
         raise EmptyUniverse("scan requires at least one price series")
+    for a, b in zip(series_list, series_list[1:]):
+        if a.instrument_id == b.instrument_id:
+            raise DuplicateInstrument(
+                f"instrument {a.instrument_id} appears more than once in the universe", a.instrument_id
+            )
     configs = {method: spec.config_for(method) for method in spec.methods}
     observations: list[Observation] = []
     diagnostics: list[Diagnostic] = []
@@ -144,28 +153,31 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
                 )
             )
             continue
-        for t in window_end_positions(len(values), spec.window, spec.roll_step):
-            window_series = LogSeries(
-                log.instrument_id,
-                log.dates[t - spec.window + 1 : t + 1],
-                values[t - spec.window + 1 : t + 1],
-            )
-            forward = float(values[t + spec.window] - values[t])
-            window_end = int(log.dates[t])
-            for method in spec.methods:
-                try:
-                    est = estimate(method, window_series, configs[method], dfa_mode=spec.dfa_mode)
-                except HurstLabError as exc:
-                    diagnostics.append(Diagnostic(series.instrument_id, window_end, method, str(exc)))
+        ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
+        windows = sliding_window_view(values, spec.window)[ends - spec.window + 1]
+        forwards = (values[ends + spec.window] - values[ends]).tolist()
+        per_method = []
+        for method in spec.methods:
+            try:
+                h, fits = estimate_rows(method, windows, configs[method], dfa_mode=spec.dfa_mode)
+            except HurstLabError as exc:
+                h, errors = [math.nan] * len(ends), dict.fromkeys(range(len(ends)), exc)
+            else:
+                h, errors = h.tolist(), fits.errors
+            per_method.append((method, h, errors))
+        for i, window_end in enumerate(log.dates[ends].tolist()):
+            for method, h, errors in per_method:
+                if i in errors:
+                    diagnostics.append(Diagnostic(series.instrument_id, window_end, method, str(errors[i])))
                     continue
                 observations.append(
                     Observation(
                         instrument_id=series.instrument_id,
                         window_end=window_end,
                         method=method,
-                        h=est.h,
-                        suspect=est.suspect,
-                        forward_log_return=forward,
+                        h=h[i],
+                        suspect=is_suspect(h[i]),
+                        forward_log_return=forwards[i],
                         forward_days=spec.window,
                     )
                 )
@@ -183,6 +195,23 @@ def _pooled(observations: Iterable[Observation]) -> list[Observation]:
     return obs
 
 
+def _bucket_indices(hs: np.ndarray, scheme: str) -> np.ndarray:
+    """Index into the scheme's labels of each exponent's bucket; -1 for none.
+
+    The index counts the percentile thresholds at or below the exponent,
+    so boundary ties go to the upper bucket.
+    """
+    if scheme not in _MIN_OBS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if len(hs) < _MIN_OBS[scheme]:
+        raise TooFewObservations(
+            f"{scheme} bucketing needs >= {_MIN_OBS[scheme]} observations, got {len(hs)}"
+        )
+    if scheme == "quintile":
+        return np.searchsorted(np.percentile(hs, [20, 40, 60, 80]), hs, side="right")
+    return np.searchsorted(np.percentile(hs, [90, 95]), hs, side="right") - 1
+
+
 def bucketize(observations: Iterable[Observation], scheme: str = "quintile") -> dict[Observation, str]:
     """Assign each observation a percentile bucket of its exponent.
 
@@ -191,37 +220,10 @@ def bucketize(observations: Iterable[Observation], scheme: str = "quintile") -> 
     quintile scheme covers every observation; the tail scheme labels only
     observations at or above the 90th percentile.
     """
-    if scheme not in _MIN_OBS:
-        raise ValueError(f"unknown scheme {scheme!r}")
     obs = _pooled(observations)
-    if len(obs) < _MIN_OBS[scheme]:
-        raise TooFewObservations(
-            f"{scheme} bucketing needs >= {_MIN_OBS[scheme]} observations, got {len(obs)}"
-        )
-    hs = np.array([o.h for o in obs])
-    if scheme == "quintile":
-        p20, p40, p60, p80 = np.percentile(hs, [20, 40, 60, 80])
-        out = {}
-        for o in obs:
-            if o.h < p20:
-                out[o] = QUINTILE_LABELS[0]
-            elif o.h < p40:
-                out[o] = QUINTILE_LABELS[1]
-            elif o.h < p60:
-                out[o] = QUINTILE_LABELS[2]
-            elif o.h < p80:
-                out[o] = QUINTILE_LABELS[3]
-            else:
-                out[o] = QUINTILE_LABELS[4]
-        return out
-    p90, p95 = np.percentile(hs, [90, 95])
-    out = {}
-    for o in obs:
-        if o.h >= p95:
-            out[o] = TAIL_LABELS[1]
-        elif o.h >= p90:
-            out[o] = TAIL_LABELS[0]
-    return out
+    indices = _bucket_indices(np.array([o.h for o in obs]), scheme)
+    labels = _LABELS[scheme]
+    return {o: labels[i] for o, i in zip(obs, indices.tolist()) if i >= 0}
 
 
 def annualize(mean_log_return: float, window: int) -> float:
@@ -250,11 +252,11 @@ class BucketReport:
     degenerate: bool
 
 
-def _bucket_row(label: str, members: Sequence[Observation], window: int) -> BucketRow:
-    if not members:
+def _bucket_row(label: str, forwards: np.ndarray, window: int) -> BucketRow:
+    if len(forwards) == 0:
         return BucketRow(label, 0, math.nan)
-    mean = math.fsum(o.forward_log_return for o in members) / len(members)
-    return BucketRow(label, len(members), annualize(mean, window))
+    mean = math.fsum(forwards.tolist()) / len(forwards)
+    return BucketRow(label, len(forwards), annualize(mean, window))
 
 
 def report(
@@ -271,12 +273,11 @@ def report(
                 f"observation {o.instrument_id}@{o.window_end} does not belong to "
                 f"({window}, {method.value})"
             )
-    labels = QUINTILE_LABELS if scheme == "quintile" else TAIL_LABELS
-    assignment = bucketize(obs, scheme)
+    indices = _bucket_indices(np.array([o.h for o in obs]), scheme)
+    forwards = np.array([o.forward_log_return for o in obs])
     rows = tuple(
-        _bucket_row(label, [o for o in obs if assignment.get(o) == label], window)
-        for label in labels
+        _bucket_row(label, forwards[indices == i], window) for i, label in enumerate(_LABELS[scheme])
     )
-    benchmark = _bucket_row(ANY_LABEL, obs, window)
+    benchmark = _bucket_row(ANY_LABEL, forwards, window)
     degenerate = any(row.count == 0 for row in rows)
     return BucketReport(window, method, scheme, rows, benchmark, degenerate)

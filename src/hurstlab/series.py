@@ -2,8 +2,9 @@
 
 ``PriceSeries`` holds one instrument's positive price history on integer
 trading-day ordinals, ``LogSeries`` its natural-log transform, and
-``ols_slope`` the plain least-squares line every log-log scaling fit in
-this package reduces to.  All types are immutable after construction and
+``fit_rows`` the row-wise least-squares line every log-log scaling fit in
+this package reduces to (``ols_slope_xy`` and ``ols_slope`` are its
+one-row calls).  All types are immutable after construction and
 all operations are pure functions, so values can be shared freely across
 threads.
 """
@@ -15,16 +16,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateRegression, NonFiniteInput, NonPositivePrice, SeriesTooShort
+from .errors import DegenerateRegression, HurstLabError, NonFiniteInput, NonPositivePrice, SeriesTooShort
 
 __all__ = [
     "PriceSeries",
     "LogSeries",
     "RegressionFit",
+    "RowFits",
     "to_log_prices",
     "log_returns",
     "ols_slope",
     "ols_slope_xy",
+    "fit_rows",
 ]
 
 
@@ -107,33 +110,83 @@ def log_returns(series: LogSeries) -> np.ndarray:
     return np.diff(series.values)
 
 
-def ols_slope_xy(x, y) -> RegressionFit:
-    """Least-squares slope/intercept of y on x with ``r_squared = 1 - SSres/SStot``.
+@dataclass(frozen=True, eq=False)
+class RowFits:
+    """Least-squares lines through every row of a ``(rows, points)`` table.
 
-    ``r_squared`` is defined as 1 when both sums of squares vanish (all
-    points on a horizontal line) and clamped into [0, 1] against rounding.
+    A row without a line holds NaN, and ``errors`` maps its index to the
+    exception the one-row ``ols_slope_xy`` raises for it.
     """
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    r_squared: np.ndarray
+    n_points: np.ndarray
+    errors: dict[int, HurstLabError]
+
+    def row(self, i: int) -> RegressionFit:
+        """Row ``i`` as a ``RegressionFit``; raises that row's error if it has one."""
+        if i in self.errors:
+            raise self.errors[i]
+        return RegressionFit(
+            float(self.slope[i]), float(self.intercept[i]), float(self.r_squared[i]), int(self.n_points[i])
+        )
+
+
+def fit_rows(x, y, keep=None) -> RowFits:
+    """Least-squares line of each row of ``y`` on ``x`` over the points ``keep`` marks.
+
+    ``x`` is one row shared by every row of the 2-D ``y``; ``keep`` (same
+    shape as ``y``, default all) drops points per row, and dropped points
+    may hold any value.  ``r_squared = 1 - SSres/SStot`` is defined as 1
+    when both sums of squares vanish (all points on a horizontal line) and
+    clamped into [0, 1] against rounding.  Each row is computed on its own:
+    its result does not depend on the other rows.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if keep is None:
+        n = np.full(len(y), y.shape[1])
+    else:
+        x = np.where(keep, x, 0.0)
+        y = np.where(keep, y, 0.0)
+        n = keep.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_mean = x.sum(axis=-1) / n
+        y_mean = y.sum(axis=1) / n
+        dx = x - x_mean[:, None]
+        dy = y - y_mean[:, None]
+        if keep is not None:
+            dx *= keep
+            dy *= keep
+        sxx = (dx * dx).sum(axis=-1)
+        slope = (dx * dy).sum(axis=1) / sxx
+        intercept = y_mean - slope * x_mean
+        resid = y - (slope[:, None] * x + intercept[:, None])
+        if keep is not None:
+            resid *= keep
+        ss_res = (resid * resid).sum(axis=1)
+        ss_tot = (dy * dy).sum(axis=1)
+        r_squared = np.minimum(1.0, np.maximum(0.0, np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)))
+    errors: dict[int, HurstLabError] = {}
+    # each failure below leaves a non-finite slope
+    for i in np.flatnonzero(~np.isfinite(slope)).tolist():
+        if not (np.isfinite(x[i] if x.ndim == 2 else x).all() and np.isfinite(y[i]).all()):
+            errors[i] = NonFiniteInput("regression input contains NaN or infinity")
+        elif n[i] < 2:
+            errors[i] = DegenerateRegression(f"need at least 2 points, got {n[i]}")
+        elif sxx[i] == 0.0:
+            errors[i] = DegenerateRegression("all x values identical")
+    return RowFits(slope, intercept, r_squared, n, errors)
+
+
+def ols_slope_xy(x, y) -> RegressionFit:
+    """``fit_rows`` on one row: the least-squares line of y on x, raising its error."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional and equally long")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("regression input contains NaN or infinity")
-    n = len(x)
-    if n < 2:
-        raise DegenerateRegression(f"need at least 2 points, got {n}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise DegenerateRegression("all x values identical")
-    slope = float(dx @ dy) / sxx
-    intercept = float(y.mean()) - slope * float(x.mean())
-    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
-    ss_tot = float(dy @ dy)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    r_squared = min(1.0, max(0.0, r_squared))
-    return RegressionFit(slope, intercept, r_squared, n)
+    return fit_rows(x, y[None, :]).row(0)
 
 
 def ols_slope(points: Iterable[tuple[float, float]]) -> RegressionFit:

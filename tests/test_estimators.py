@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstlab import (
     DegenerateRegression,
@@ -13,11 +15,12 @@ from hurstlab import (
     ZeroSignal,
     default_config,
     dfa,
+    estimate,
     generate_fbm,
     ghe,
     gm2,
 )
-from hurstlab.estimators import HEstimate, _blocks, _lag_moment_ratio
+from hurstlab.estimators import HEstimate, _blocks, _lag_moment_ratio, estimate_rows
 
 
 def _series(values, name="X"):
@@ -233,3 +236,25 @@ class TestSharedBehavior:
         x = generate_fbm(FbmSpec(h=0.5, length=18, seed=4))
         est = ghe(x)
         assert est.fit.n_points <= 17
+
+
+class TestRowIndependence:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        length=st.integers(32, 256),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_each_row_equals_that_row_alone(self, length, rows, seed, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        stack = np.cumsum(rng.standard_normal((rows, length)), axis=1)
+        order = data.draw(st.permutations(range(rows)))
+        for method in Method:
+            h, fits = estimate_rows(method, stack)
+            permuted_h, permuted_fits = estimate_rows(method, stack[order])
+            for i in range(rows):
+                alone = estimate(method, _series(stack[i]))
+                j = order.index(i)
+                assert h[i] == alone.h and fits.row(i) == alone.fit
+                assert permuted_h[j] == alone.h and permuted_fits.row(j) == alone.fit

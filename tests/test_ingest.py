@@ -3,6 +3,7 @@ import pytest
 
 from hurstlab import (
     DuplicateDate,
+    DuplicateInstrument,
     MalformedRow,
     NonPositivePrice,
     emit_csv,
@@ -106,8 +107,9 @@ class TestIngestDir:
     def test_duplicate_instrument_across_files_rejected(self, tmp_path):
         _write(tmp_path, "a.csv", "instrument,date,price\nAAA,2001-01-02,1\nAAA,2001-01-03,2\n")
         _write(tmp_path, "b.csv", "instrument,date,price\nAAA,2001-01-04,3\nAAA,2001-01-05,4\n")
-        with pytest.raises(DuplicateDate):
+        with pytest.raises(DuplicateInstrument) as err:
             ingest_dir(tmp_path)
+        assert err.value.instrument_id == "AAA"
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(MalformedRow):

@@ -5,8 +5,11 @@ import pytest
 
 from hurstlab import (
     ANY_LABEL,
+    DuplicateInstrument,
     EmptyUniverse,
     FbmSpec,
+    HurstLabError,
+    LogSeries,
     Method,
     Observation,
     PriceSeries,
@@ -16,6 +19,7 @@ from hurstlab import (
     TooFewObservations,
     annualize,
     bucketize,
+    estimate,
     generate_fbm,
     report,
     scan,
@@ -100,6 +104,49 @@ class TestScanGeometry:
     def test_empty_universe(self):
         with pytest.raises(EmptyUniverse):
             scan([], ScanSpec(window=32))
+
+    def test_duplicate_instrument_rejected(self):
+        universe = _walk_universe(1, 96, seed=504)
+        with pytest.raises(DuplicateInstrument) as err:
+            scan(universe * 2, ScanSpec(window=32))
+        assert err.value.instrument_id == "W00"
+
+    def test_degenerate_rows_inside_a_batch_match_the_one_row_path(self):
+        # a random walk with a halted (flat) stretch and a stretch whose log
+        # prices alternate between two values
+        rng = np.random.Generator(np.random.PCG64(7))
+        prices = np.exp(3.0 + np.cumsum(rng.normal(0.0, 0.01, 400)))
+        prices[120:220] = prices[120]
+        prices[260:360] = np.where(np.arange(100) % 2 == 0, 7.0, 8.0)
+        values = np.log(prices)
+        spec = ScanSpec(window=32, roll_step=4)
+        result = scan([PriceSeries("X", np.arange(400), prices)], spec)
+        observed = {(o.window_end, o.method): o for o in result.observations}
+        skipped = {(d.window_end, d.method): d.reason for d in result.diagnostics}
+        assert len(observed) == len(result.observations) and len(skipped) == len(result.diagnostics)
+        flat = period_two = 0
+        for t in window_end_positions(400, 32, 4):
+            window = LogSeries("X", np.arange(t - 31, t + 1), values[t - 31 : t + 1])
+            is_flat = t - 31 >= 120 and t < 220
+            is_period_two = t - 31 >= 260 and t < 360
+            flat += is_flat
+            period_two += is_period_two
+            for method in spec.methods:
+                try:
+                    alone = estimate(method, window, spec.config_for(method))
+                except HurstLabError as exc:
+                    assert is_flat
+                    assert skipped[(t, method)] == str(exc)
+                    assert (t, method) not in observed
+                    continue
+                assert (t, method) not in skipped
+                assert observed[(t, method)].h == alone.h
+                assert observed[(t, method)].suspect == alone.suspect
+                if is_period_two and method is Method.GHE:
+                    assert alone.fit.n_points == 10  # only the odd lags 1..19 survive
+            if is_flat:
+                assert all((t, method) in skipped for method in spec.methods)
+        assert flat > 0 and period_two > 0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
