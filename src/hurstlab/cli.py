@@ -16,7 +16,9 @@ output trees.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .errors import HurstLabError
@@ -149,9 +151,34 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         universe = _cohort_from_args(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Groups are written into a sibling directory and moved into --out only
+    # once every group has succeeded, so a failed run leaves --out as it was.
+    target = out_dir.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        summary_reports, total_diagnostics = _write_groups(args, universe, windows, staging)
+        target.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            path.replace(target / path.name)
+    finally:
+        shutil.rmtree(staging)
+    for method in methods:
+        print(render_method_table(summary_reports[method]))
+    print(f"universe: {len(universe)} instruments; skipped estimates/series: {total_diagnostics}")
+    print(f"reports written to {out_dir}")
+    return 0
 
+
+def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_dir: Path):
+    """Scan each window and write every (window, method) group's files into ``out_dir``.
+
+    Returns the quintile reports per method and the number of skipped
+    estimates and series.  An error names the group it came from.
+    """
+    methods = args.methods
     ext = "txt" if args.format == "table" else "csv"
+    render = render_report_table if args.format == "table" else report_csv
     summary_reports: dict[Method, list] = {m: [] for m in methods}
     total_diagnostics = 0
     for window in windows:
@@ -165,25 +192,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = scan(universe, spec)
         total_diagnostics += len(result.diagnostics)
         for method in methods:
+            tag = f"{method.value.lower()}_w{window}"
             group = result.for_group(window, method)
             if args.exclude_suspect:
                 group = tuple(o for o in group if not o.suspect)
-            tag = f"{method.value.lower()}_w{window}"
             (out_dir / f"observations_{tag}.csv").write_text(observations_csv(group), encoding="utf-8")
-            quintile = report(group, window, method, scheme="quintile")
-            tail = report(group, window, method, scheme="tail")
+            try:
+                quintile = report(group, window, method, scheme="quintile")
+                tail = report(group, window, method, scheme="tail")
+            except HurstLabError as exc:
+                raise HurstLabError(f"{tag}: {exc}") from exc
             summary_reports[method].append(quintile)
-            if args.format == "table":
-                (out_dir / f"quintile_{tag}.{ext}").write_text(render_report_table(quintile), encoding="utf-8")
-                (out_dir / f"tail_{tag}.{ext}").write_text(render_report_table(tail), encoding="utf-8")
-            else:
-                (out_dir / f"quintile_{tag}.{ext}").write_text(report_csv(quintile), encoding="utf-8")
-                (out_dir / f"tail_{tag}.{ext}").write_text(report_csv(tail), encoding="utf-8")
-    for method in methods:
-        print(render_method_table(summary_reports[method]))
-    print(f"universe: {len(universe)} instruments; skipped estimates/series: {total_diagnostics}")
-    print(f"reports written to {out_dir}")
-    return 0
+            (out_dir / f"quintile_{tag}.{ext}").write_text(render(quintile), encoding="utf-8")
+            (out_dir / f"tail_{tag}.{ext}").write_text(render(tail), encoding="utf-8")
+    return summary_reports, total_diagnostics
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -5,19 +5,23 @@ ISO-8601 calendar dates.  After a per-instrument sort by date, each
 instrument's rows are mapped to consecutive trading-day ordinals
 0..n-1; downstream code never sees calendar dates.  Whatever prices the
 file carries are treated as ground truth (no adjustment logic here).
+
+Both directions work a column at a time: ingest validates whole columns
+of a bounded chunk of records and groups every row with one sort; emit
+renders each date string once and each instrument's rows with one join.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDate, DuplicateInstrument, MalformedRow, NonPositivePrice
+from .errors import DuplicateDate, DuplicateInstrument, HurstLabError, MalformedRow, NonPositivePrice
 from .series import PriceSeries
 
 __all__ = ["CSV_HEADER", "ingest_csv", "ingest_rows", "ingest_dir", "emit_csv", "write_csv"]
@@ -26,11 +30,18 @@ CSV_HEADER = ("instrument", "date", "price")
 
 _EPOCH = dt.date(2000, 1, 3).toordinal()  # day 0 of emitted synthetic calendars
 
+# Records validated per step: large enough that per-chunk overhead vanishes,
+# small enough that the chunk's column lists stay in cache (65536 was slower).
+_CHUNK_ROWS = 4096
+
+_NEEDS_QUOTES = frozenset(',"\r\n')
+
 
 def ingest_rows(rows: Iterable[Sequence[str]], source: str = "<input>") -> list[PriceSeries]:
     """Parse header + data rows into per-instrument series.
 
-    Line numbers in errors count the header as line 1.
+    An error names the first bad record in input order.  Line numbers in
+    errors count records, with the header as line 1.
     """
     it = iter(rows)
     try:
@@ -41,45 +52,133 @@ def ingest_rows(rows: Iterable[Sequence[str]], source: str = "<input>") -> list[
         raise MalformedRow(
             f"{source}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}", 1
         )
-    per_instrument: dict[str, list[tuple[dt.date, float]]] = {}
-    for line, row in enumerate(it, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != 3:
-            raise MalformedRow(f"{source}:{line}: expected 3 fields, got {len(row)}", line)
-        instrument, date_text, price_text = (f.strip() for f in row)
-        if not instrument:
-            raise MalformedRow(f"{source}:{line}: empty instrument id", line)
+    columns = _Columns(source)
+    line = 2
+    while chunk := list(islice(it, _CHUNK_ROWS)):
+        columns.add(chunk, line)
+        line += len(chunk)
+    return columns.universe()
+
+
+class _Columns:
+    """Instrument codes, date ordinals and prices of the records accepted so far."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.codes: dict[str, int] = {}  # instrument id -> code (any order; rows are ranked by id)
+        self.ordinals: dict[str, int] = {}  # date text -> proleptic Gregorian ordinal
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(self, chunk: list[Sequence[str]], first_line: int) -> None:
+        """Validate and append one chunk of records; the first is on ``first_line``.
+
+        Each check runs over a whole column and notes its first failing
+        record.  The earliest record wins, and within one record the check
+        that comes first below, so the error is the one a loop checking
+        record after record would raise.
+        """
+        lines: Sequence[int] = range(first_line, first_line + len(chunk))
+        faults: list[tuple[int, HurstLabError]] = []  # (line, error), in check order
+
+        def fault(i: int, kind: type[HurstLabError], what: str) -> None:
+            faults.append((lines[i], kind(f"{self.source}:{lines[i]}: {what}", lines[i])))
+
+        if set(map(len, chunk)) != {3}:
+            kept = []
+            for i, row in enumerate(chunk):
+                if len(row) == 3:
+                    kept.append(i)
+                elif row and not (len(row) == 1 and not row[0].strip()):
+                    fault(i, MalformedRow, f"expected 3 fields, got {len(row)}")
+            lines = [lines[i] for i in kept]
+            chunk = [chunk[i] for i in kept]
+            if not chunk:
+                self._raise_first(faults)
+                return
+        ids, date_texts, price_texts = (list(map(str.strip, column)) for column in zip(*chunk))
+
+        if "" in ids:
+            fault(ids.index(""), MalformedRow, "empty instrument id")
+
+        bad_dates = set()
+        for text in set(date_texts).difference(self.ordinals):
+            try:
+                self.ordinals[text] = dt.date.fromisoformat(text).toordinal()
+            except ValueError:
+                bad_dates.add(text)
+        if bad_dates:
+            i = next(i for i, text in enumerate(date_texts) if text in bad_dates)
+            fault(i, MalformedRow, f"bad ISO date {date_texts[i]!r}")
+
         try:
-            date = dt.date.fromisoformat(date_text)
+            prices = np.fromiter(map(float, price_texts), dtype=np.float64, count=len(price_texts))
         except ValueError:
-            raise MalformedRow(f"{source}:{line}: bad ISO date {date_text!r}", line)
-        try:
-            price = float(price_text)
-        except ValueError:
-            raise MalformedRow(f"{source}:{line}: bad price {price_text!r}", line)
-        if not np.isfinite(price):
-            raise MalformedRow(f"{source}:{line}: non-finite price {price_text!r}", line)
-        if price <= 0.0:
-            raise NonPositivePrice(f"{source}:{line}: non-positive price {price_text!r}", line)
-        per_instrument.setdefault(instrument, []).append((date, price))
-    universe = []
-    for instrument in sorted(per_instrument):
-        entries = sorted(per_instrument[instrument], key=lambda e: e[0])
-        for (d1, _), (d2, _) in zip(entries, entries[1:]):
-            if d1 == d2:
-                raise DuplicateDate(
-                    f"{source}: duplicate date {d1.isoformat()} for {instrument}", instrument, d1
-                )
-        prices = np.array([p for _, p in entries])
-        universe.append(PriceSeries(instrument, np.arange(len(entries)), prices))
-    return universe
+            i = next(i for i, text in enumerate(price_texts) if not _is_float(text))
+            fault(i, MalformedRow, f"bad price {price_texts[i]!r}")
+            prices = np.array([float(text) for text in price_texts[:i]])  # earlier records may fail below
+        for mask, kind, what in (
+            (~np.isfinite(prices), MalformedRow, "non-finite"),
+            (prices <= 0.0, NonPositivePrice, "non-positive"),
+        ):
+            if mask.any():
+                i = int(np.argmax(mask))
+                fault(i, kind, f"{what} price {price_texts[i]!r}")
+        self._raise_first(faults)
+
+        codes = self.codes
+        for instrument in set(ids).difference(codes):
+            codes[instrument] = len(codes)
+        self.parts.append((
+            np.fromiter(map(codes.__getitem__, ids), dtype=np.int64, count=len(ids)),
+            np.fromiter(map(self.ordinals.__getitem__, date_texts), dtype=np.int64, count=len(ids)),
+            prices,
+        ))
+
+    @staticmethod
+    def _raise_first(faults: list[tuple[int, HurstLabError]]) -> None:
+        if faults:
+            raise min(faults, key=lambda f: f[0])[1]  # min keeps the first of equal lines
+
+    def universe(self) -> list[PriceSeries]:
+        """Series sorted by instrument id, each in date order, from one sort of every row."""
+        if not self.parts:
+            return []
+        codes, ordinals, prices = (np.concatenate(column) for column in zip(*self.parts))
+        names = sorted(self.codes)
+        rank_of_code = np.empty(len(names), dtype=np.int64)
+        rank_of_code[[self.codes[name] for name in names]] = np.arange(len(names))
+        ranks = rank_of_code[codes]
+        order = np.lexsort((ordinals, ranks))
+        ranks, ordinals, prices = ranks[order], ordinals[order], prices[order]
+        repeated = (ranks[1:] == ranks[:-1]) & (ordinals[1:] == ordinals[:-1])
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            instrument, date = names[ranks[i]], dt.date.fromordinal(int(ordinals[i]))
+            raise DuplicateDate(
+                f"{self.source}: duplicate date {date.isoformat()} for {instrument}", instrument, date
+            )
+        starts = np.flatnonzero(np.diff(ranks)) + 1
+        return [
+            PriceSeries(name, np.arange(len(group)), group)
+            for name, group in zip(names, np.split(prices, starts))
+        ]
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def ingest_csv(path: str | Path) -> list[PriceSeries]:
-    """Read one long-format CSV file into a price universe."""
+    """Read one long-format CSV file into a price universe.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         return ingest_rows(csv.reader(f), source=path.name)
 
 
@@ -104,21 +203,39 @@ def ingest_dir(path: str | Path) -> list[PriceSeries]:
     return universe
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module's minimal quoting writes it."""
+    if _NEEDS_QUOTES.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_chunks(universe: Iterable[PriceSeries]) -> Iterator[str]:
+    """The header line, then each instrument's rows as one string, in id order."""
+    ordered = sorted(universe, key=lambda s: s.instrument_id)
+    yield ",".join(CSV_HEADER) + "\n"
+    if not ordered:
+        return
+    days = np.unique(np.concatenate([s.dates for s in ordered]))
+    iso = np.array([dt.date.fromordinal(_EPOCH + d).isoformat() for d in days.tolist()], dtype=object)
+    for series in ordered:
+        prefix = _csv_field(series.instrument_id) + ","
+        dates = iso[np.searchsorted(days, series.dates)].tolist()
+        yield "".join([f"{prefix}{date},{price!r}\n" for date, price in zip(dates, series.prices.tolist())])
+
+
 def emit_csv(universe: Iterable[PriceSeries]) -> str:
     """Universe as ingestion-format CSV text.
 
     Trading-day ordinals are rendered as calendar days counted from a
     fixed epoch, so ``ingest_rows`` on the output recovers series whose
-    ordinals started at 0 exactly (prices round-trip via ``repr``).
+    ordinals started at 0 exactly (prices round-trip via ``repr``).  An
+    id holding a comma, quote or line break is quoted as ``csv`` does.
     """
-    buf = io.StringIO()
-    buf.write(",".join(CSV_HEADER) + "\n")
-    for series in sorted(universe, key=lambda s: s.instrument_id):
-        for ordinal, price in zip(series.dates, series.prices):
-            date = dt.date.fromordinal(_EPOCH + int(ordinal)).isoformat()
-            buf.write(f"{series.instrument_id},{date},{float(price)!r}\n")
-    return buf.getvalue()
+    return "".join(_csv_chunks(universe))
 
 
 def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
-    Path(path).write_text(emit_csv(universe), encoding="utf-8")
+    """Write ``emit_csv(universe)`` to ``path`` one instrument at a time."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(_csv_chunks(universe))

@@ -105,6 +105,25 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_group_leaves_out_dir_untouched(self, tmp_path, capsys):
+        # 600 days give window 32 its groups but leave w512 without observations
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier file")
+        code = _run(["run", "--synthetic-cohort", "--n", "6", "--len", "600", "--windows", "32,512",
+                     "--out", out])
+        assert code == 1
+        assert "w512" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_failed_run_creates_no_out_dir(self, tmp_path):
+        out = tmp_path / "new"
+        code = _run(["run", "--synthetic-cohort", "--n", "6", "--len", "600", "--windows", "512",
+                     "--out", out])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_dir(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

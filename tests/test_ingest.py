@@ -1,5 +1,12 @@
+import csv
+import datetime as dt
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstlab import (
     DuplicateDate,
@@ -10,14 +17,124 @@ from hurstlab import (
     generate_drifted_cohort,
     ingest_csv,
     ingest_dir,
+    write_csv,
 )
+from hurstlab import ingest as ingest_module
 from hurstlab.ingest import ingest_rows
+from hurstlab.series import PriceSeries
 
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def reference_ingest_rows(rows, source="<input>"):
+    """The per-record loop ingest_rows replaced, kept as the oracle for it."""
+    it = iter(rows)
+    try:
+        header = next(it)
+    except StopIteration:
+        raise MalformedRow(f"{source}: empty file, expected header instrument,date,price", 1)
+    if tuple(h.strip().lower() for h in header) != ("instrument", "date", "price"):
+        raise MalformedRow(f"{source}: expected header instrument,date,price, got {','.join(header)}", 1)
+    per_instrument = {}
+    for line, row in enumerate(it, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # blank line
+        if len(row) != 3:
+            raise MalformedRow(f"{source}:{line}: expected 3 fields, got {len(row)}", line)
+        instrument, date_text, price_text = (f.strip() for f in row)
+        if not instrument:
+            raise MalformedRow(f"{source}:{line}: empty instrument id", line)
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            raise MalformedRow(f"{source}:{line}: bad ISO date {date_text!r}", line)
+        try:
+            price = float(price_text)
+        except ValueError:
+            raise MalformedRow(f"{source}:{line}: bad price {price_text!r}", line)
+        if not np.isfinite(price):
+            raise MalformedRow(f"{source}:{line}: non-finite price {price_text!r}", line)
+        if price <= 0.0:
+            raise NonPositivePrice(f"{source}:{line}: non-positive price {price_text!r}", line)
+        per_instrument.setdefault(instrument, []).append((date, price))
+    universe = []
+    for instrument in sorted(per_instrument):
+        entries = sorted(per_instrument[instrument], key=lambda e: e[0])
+        for (d1, _), (d2, _) in zip(entries, entries[1:]):
+            if d1 == d2:
+                raise DuplicateDate(
+                    f"{source}: duplicate date {d1.isoformat()} for {instrument}", instrument, d1
+                )
+        prices = np.array([p for _, p in entries])
+        universe.append(PriceSeries(instrument, np.arange(len(entries)), prices))
+    return universe
+
+
+def _outcome(ingest, text):
+    """What ``ingest`` makes of CSV ``text``: the universe, or the error's class and fields."""
+    try:
+        universe = ingest(csv.reader(io.StringIO(text, newline="")))
+    except (MalformedRow, NonPositivePrice) as exc:
+        return type(exc), str(exc), exc.line
+    except DuplicateDate as exc:
+        return type(exc), str(exc), exc.instrument_id, exc.date
+    return [(s.instrument_id, s.dates.tolist(), s.prices.tolist()) for s in universe]
+
+
+def _field(text, quoted):
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
+MUTATIONS = ("fields", "empty id", "bad date", "bad price", "inf", "non-positive", "duplicate date")
+
+
+@st.composite
+def csv_files(draw):
+    """Interleaved instruments with blank lines, padding, quoting and up to two bad records."""
+    ids = draw(st.lists(st.sampled_from(["AAA", "BB,B", 'C"C', "DDD", "EEE"]), min_size=1, max_size=4, unique=True))
+    records = []
+    for instrument in ids:
+        days = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+        for day in days:
+            price = draw(st.floats(1e-3, 1e4))
+            records.append([instrument, (dt.date(2001, 1, 1) + dt.timedelta(days=day)).isoformat(), repr(price)])
+    records = draw(st.permutations(records))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(records) - 1))
+        kind = draw(st.sampled_from(MUTATIONS))
+        record = list(records[at])
+        if len(record) != 3:
+            continue  # already mutated
+        if kind == "fields":
+            record = record[:2] if draw(st.booleans()) else [*record, "x"]
+        elif kind == "empty id":
+            record[0] = " "
+        elif kind == "bad date":
+            record[1] = draw(st.sampled_from(["2001-13-01", "01/02/2001", ""]))
+        elif kind == "bad price":
+            record[2] = draw(st.sampled_from(["cheap", "", "1,5"]))
+        elif kind == "inf":
+            record[2] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+        elif kind == "non-positive":
+            record[2] = draw(st.sampled_from(["0", "-0.0", "-2.5"]))
+        else:  # a second record on the same (instrument, date)
+            records.insert(draw(st.integers(0, len(records))), [record[0], record[1], "7.0"])
+            continue
+        records[at] = record
+    lines = ["instrument,date,price"]
+    for record in records:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", " \t"])))
+        pad = draw(st.sampled_from(["", " "]))
+        lines.append(",".join(
+            _field(pad + f + pad, quoted=draw(st.booleans()) or any(c in f for c in ',"'))
+            for f in record
+        ))
+    return "\n".join(lines) + "\n"
 
 
 class TestIngest:
@@ -85,6 +202,70 @@ class TestIngest:
             ingest_rows([["instrument", "date", "price"], ["A", "2001-01-02", "inf"]])
         with pytest.raises(MalformedRow):
             ingest_rows(iter([]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_files(), chunk_rows=st.integers(1, 9))
+    def test_matches_per_record_reference(self, text, chunk_rows):
+        with mock.patch.object(ingest_module, "_CHUNK_ROWS", chunk_rows):
+            assert _outcome(ingest_rows, text) == _outcome(reference_ingest_rows, text)
+
+    def test_bad_record_beyond_two_chunks_reports_its_line(self, tmp_path):
+        lines = ["instrument,date,price"]
+        lines += [f"ACME,{dt.date(2001, 1, 1) + dt.timedelta(days=i)},10" for i in range(2 * 4096 + 100)]
+        lines += ["", "  ", ""]
+        lines.append("ACME,1999-01-01,cheap")  # file line 1 + 8292 + 3 + 1 = 8297, in the third chunk
+        lines += [f"ZED,2001-01-0{i},-1" for i in range(1, 4)]
+        path = _write(tmp_path, "u.csv", "\n".join(lines) + "\n")
+        with pytest.raises(MalformedRow) as err:
+            ingest_csv(path)
+        assert err.value.line == 8297
+        assert str(err.value) == "u.csv:8297: bad price 'cheap'"
+
+    def test_first_bad_record_wins_across_fault_kinds(self, tmp_path):
+        lines = ["instrument,date,price"]
+        lines += [f"ACME,{dt.date(2001, 1, 1) + dt.timedelta(days=i)},10" for i in range(5000)]
+        lines[10] = "ACME,2001-02-30,10"  # file line 11: bad date
+        lines[4500] = "ACME,2014-01-01,0"  # file line 4501: non-positive price, next chunk
+        lines[20] = "ACME,2002-01-01,nope"  # file line 21: bad price, same chunk as the date
+        path = _write(tmp_path, "u.csv", "\n".join(lines) + "\n")
+        with pytest.raises(MalformedRow) as err:
+            ingest_csv(path)
+        assert (err.value.line, str(err.value)) == (11, "u.csv:11: bad ISO date '2001-02-30'")
+
+    @pytest.mark.parametrize("earlier", ["inf", "nan", "0", "-1"])
+    def test_price_fault_before_an_unparsable_price_wins(self, earlier):
+        text = f"instrument,date,price\nAAA,2001-01-01,1\nAAA,2001-01-02,{earlier}\nAAA,2001-01-03,cheap\n"
+        outcome = _outcome(ingest_rows, text)
+        assert outcome[2] == 3
+        assert outcome == _outcome(reference_ingest_rows, text)
+
+    def test_first_duplicate_in_id_then_date_order_is_reported(self):
+        text = "instrument,date,price\n" + "".join(
+            f"{name},2001-01-{day:02d},{price}\n"
+            for name, day, price in [("BBB", 2, 1), ("AAA", 5, 1), ("AAA", 3, 1), ("BBB", 2, 2),
+                                     ("AAA", 5, 2), ("AAA", 3, 2), ("AAA", 4, 1)]
+        )
+        outcome = _outcome(ingest_rows, text)
+        assert outcome == (DuplicateDate, "<input>: duplicate date 2001-01-03 for AAA", "AAA", dt.date(2001, 1, 3))
+        assert outcome == _outcome(reference_ingest_rows, text)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_bytes("\ufeffinstrument,date,price\nACME,2001-01-02,1\n".encode("utf-8"))
+        (series,) = ingest_csv(path)
+        assert series.instrument_id == "ACME"
+
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in ("BRK,A", 'X"Y', "Z")]
+        path = tmp_path / "u.csv"
+        write_csv(universe, path)
+        text = path.read_text()
+        assert '"BRK,A",2000-01-03,1.0\n' in text
+        assert '"X""Y",2000-01-03,1.0\n' in text
+        assert "Z,2000-01-03,1.0\n" in text
+        back = ingest_csv(path)
+        assert [s.instrument_id for s in back] == ["BRK,A", 'X"Y', "Z"]
+        assert all(np.array_equal(s.prices, [1.0, 2.5, 3.0]) for s in back)
 
     def test_round_trip_reproduces_universe_exactly(self, tmp_path):
         cohort = generate_drifted_cohort(3, 16, [0.3, 0.7], {0.3: 0.0, 0.7: 1e-4}, seed=13)
