@@ -4,7 +4,6 @@ from .errors import (
     DegenerateRegression,
     DuplicateDate,
     DuplicateInstrument,
-    EmbeddingFailure,
     EmptyUniverse,
     HurstLabError,
     InvalidH,
@@ -13,7 +12,6 @@ from .errors import (
     NonPositivePrice,
     SeriesTooShort,
     TooFewObservations,
-    ZeroSignal,
 )
 from .estimators import (
     DFA_MODE_PROFILE,
@@ -44,13 +42,11 @@ from .pipeline import (
     report,
     scan,
 )
-from .reporting import observations_csv, render_method_table, render_report_table, report_csv
+from .reporting import observations_csv, render_method_table, report_csv
 from .series import (
     LogSeries,
     PriceSeries,
     RegressionFit,
-    log_returns,
-    ols_slope,
     ols_slope_xy,
     to_log_prices,
 )

@@ -25,7 +25,7 @@ from .errors import HurstLabError
 from .estimators import DFA_MODE_PROFILE, DFA_MODE_RAW, EstimatorConfig, Method, default_config
 from .ingest import ingest_csv, ingest_dir, write_csv
 from .pipeline import ScanSpec, scan, report
-from .reporting import observations_csv, render_method_table, render_report_table, report_csv
+from .reporting import observations_csv, render_method_table, report_csv
 from .synthetic import generate_drifted_cohort
 
 _DEFAULT_WINDOWS = "32,64,128,256,512"
@@ -178,7 +178,7 @@ def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_di
     """
     methods = args.methods
     ext = "txt" if args.format == "table" else "csv"
-    render = render_report_table if args.format == "table" else report_csv
+    render = (lambda rep: render_method_table([rep])) if args.format == "table" else report_csv
     summary_reports: dict[Method, list] = {m: [] for m in methods}
     total_diagnostics = 0
     for window in windows:

@@ -27,16 +27,8 @@ class DegenerateRegression(HurstLabError):
     """A least-squares fit has no slope: fewer than 2 points or no x spread."""
 
 
-class ZeroSignal(HurstLabError):
-    """Every value of the input signal is zero; a ratio statistic is undefined."""
-
-
 class InvalidH(HurstLabError):
     """Requested self-similarity parameter outside the open interval (0, 1)."""
-
-
-class EmbeddingFailure(HurstLabError):
-    """Both the circulant and the sequential Gaussian samplers failed."""
 
 
 class EmptyUniverse(HurstLabError):

@@ -6,12 +6,15 @@ kernel builds a ``(rows, scales)`` statistic, one row-wise least-squares
 fit (``series.fit_rows``) regresses its log against the log of the
 scale, and the exponent is read off each row's slope.
 
-* GHE  -- q-th order moment of lagged increments, normalized by the
-  q-th moment of the signal level; the exponent is slope / q.  Lags
-  whose moment is exactly zero are left out of that row's fit.
-* DFA  -- fluctuation function of block-wise linearly detrended data,
-  by default applied to the cumulative profile of mean-centered log
-  returns (multifractal DFA with q = 2 giving the classical variant).
+* GHE  -- q-th order moment of lagged increments; the exponent is
+  slope / q.  Lags whose moment is exactly zero are left out of that
+  row's fit.
+* DFA  -- fluctuation function of block-wise linearly detrended data
+  (multifractal DFA with q = 2 giving the classical variant).  By
+  default it detrends the log prices from their second point on: the
+  classical cumulative profile of mean-centered log returns is ``x[1:]``
+  less the offset ``x[0]`` and a linear ramp, and linear detrending
+  removes both.
 * GM2  -- mean max-min range of non-overlapping log-price blocks.
 
 ``estimate_rows`` runs one method over a window matrix.  A row whose
@@ -34,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateRegression, SeriesTooShort, ZeroSignal
+from .errors import DegenerateRegression, SeriesTooShort
 from .series import LogSeries, RegressionFit, RowFits, fit_rows
 
 __all__ = [
@@ -73,14 +76,12 @@ class EstimatorConfig:
     ``q`` is the moment order (1 for GHE, 2 for DFA; unused by GM2),
     ``tau_max`` the largest increment lag considered by GHE, and
     ``k_min``/``k_max`` bound the dyadic block sizes used by DFA and GM2.
-    ``detrend_order`` is fixed to 1 (linear detrending).
     """
 
     q: float = 1.0
     tau_max: int = 19
     k_min: int = 2
     k_max: int = 8
-    detrend_order: int = 1
 
     def __post_init__(self):
         if self.q <= 0:
@@ -91,8 +92,6 @@ class EstimatorConfig:
             raise ValueError(f"smallest block 2**k_min must be >= 4, got k_min={self.k_min}")
         if self.k_max - self.k_min < 2:
             raise ValueError("need k_max - k_min >= 2 (at least 3 regression points)")
-        if self.detrend_order != 1:
-            raise ValueError("only linear detrending (detrend_order=1) is supported")
 
     def scales(self) -> tuple[int, ...]:
         return tuple(2 ** k for k in range(self.k_min, self.k_max + 1))
@@ -123,7 +122,7 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
 
     ``k_max`` is the largest k with ``2**k <= length / 2``.  DFA keeps
     every dyadic scale from ``k_min = 2`` up (the coarsest may cover a
-    single block of the return profile, which costs variance but no
+    single block of the detrended signal, which costs variance but no
     bias).  GM2 drops scales below ``2**(k_max - 3)``: the mean block
     range of a sampled path sits below its continuum scaling law by a
     near-constant deficit, which at small block sizes inflates the
@@ -160,11 +159,11 @@ def _blocks(values: np.ndarray, m: int) -> np.ndarray:
     return values[..., : d * m].reshape(*values.shape[:-1], d, m)
 
 
-def _lag_moment_ratio(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean |X(t+tau)-X(t)|**q over overlapping increments, over mean |X(t)|**q.
+def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lags 1..tau_max and the mean |X(t+tau)-X(t)|**q over overlapping increments.
 
-    Works along the last axis: ``v`` of shape ``(..., n)`` gives a
-    ``(..., tau_max)`` statistic.  An all-zero signal gives NaN or infinity.
+    Works along the last axis: ``v`` of shape ``(..., n)`` with
+    ``n > tau_max`` gives a ``(..., tau_max)`` statistic.
     """
     n = v.shape[-1]
     taus = np.arange(1, tau_max + 1)
@@ -172,9 +171,7 @@ def _lag_moment_ratio(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray
     for i, t in enumerate(taus.tolist()):
         increments = v[..., t:] - v[..., :-t]
         sums[..., i] = (np.abs(increments, out=increments) ** q).sum(axis=-1)
-    level = (np.abs(v) ** q).sum(axis=-1, keepdims=True) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return taus, sums / (n - taus) / level
+    return taus, sums / (n - taus)
 
 
 def _detrended_fluctuations(signal: np.ndarray, scales, q: float) -> np.ndarray:
@@ -223,20 +220,15 @@ def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig, dfa_mo
     if method is Method.GHE:
         if windows.shape[1] <= cfg.tau_max:
             raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {windows.shape[1]}")
-        taus, stat = _lag_moment_ratio(windows, cfg.q, cfg.tau_max)
+        taus, stat = _lag_moments(windows, cfg.q, cfg.tau_max)
         # lags whose statistic is exactly zero carry no scaling information
         return taus, stat, stat > 0.0
     scales = cfg.scales()
     if method is Method.GM2:
         _check_scales(cfg, windows.shape[1], "gm2")
         return np.array(scales), _mean_block_ranges(windows, scales), None
-    if dfa_mode == DFA_MODE_PROFILE:
-        if windows.shape[1] < 2:
-            raise SeriesTooShort("dfa: need at least 2 points to form returns")
-        increments = np.diff(windows, axis=1)
-        signal = np.cumsum(increments - increments.mean(axis=1, keepdims=True), axis=1)
-    else:
-        signal = windows
+    # detrending absorbs the return profile's offset and mean-return ramp
+    signal = windows[:, 1:] if dfa_mode == DFA_MODE_PROFILE else windows
     _check_scales(cfg, signal.shape[1], "dfa")
     return np.array(scales), _detrended_fluctuations(signal, scales, cfg.q), None
 
@@ -248,14 +240,9 @@ _ZERO_STATISTIC = {
 }
 
 
-def _statistic_error(method: Method, window: np.ndarray, stat: np.ndarray):
+def _statistic_error(method: Method, stat: np.ndarray):
     """Why one row's statistic admits no log-log fit, in the estimator's words; None if it does."""
-    if method is Method.GHE:
-        if not window.any():
-            return ZeroSignal("ghe: all signal values are zero")
-        degenerate = not (stat > 0.0).any()
-    else:
-        degenerate = (stat == 0.0).any()
+    degenerate = not (stat > 0.0).any() if method is Method.GHE else (stat == 0.0).any()
     return DegenerateRegression(_ZERO_STATISTIC[method]) if degenerate else None
 
 
@@ -286,7 +273,7 @@ def estimate_rows(
         fits = fit_rows(np.log(scales), np.log(stat), keep)
     # a degenerate statistic always fails the fit; name that failure the estimator's way
     for i in list(fits.errors):
-        fits.errors[i] = _statistic_error(method, windows[i], stat[i]) or fits.errors[i]
+        fits.errors[i] = _statistic_error(method, stat[i]) or fits.errors[i]
     h = fits.slope / cfg.q if method is Method.GHE else fits.slope.copy()
     if fits.errors:
         h[list(fits.errors)] = np.nan
@@ -302,9 +289,8 @@ def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     """Generalized Hurst exponent from the scaling of lagged q-th moments.
 
     For each lag tau in 1..tau_max the statistic is the mean of
-    ``|X(t+tau) - X(t)|**q`` over all overlapping increments, divided by
-    the (lag-independent) mean of ``|X(t)|**q``; the exponent is the
-    log-log slope across lags divided by q.  Lags whose statistic is
+    ``|X(t+tau) - X(t)|**q`` over all overlapping increments; the exponent
+    is the log-log slope across lags divided by q.  Lags whose statistic is
     exactly zero carry no scaling information and are dropped before the
     fit; if none survive the regression degenerates.
     """
@@ -314,10 +300,12 @@ def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
 def dfa(x: LogSeries, cfg: EstimatorConfig | None = None, mode: str = DFA_MODE_PROFILE) -> HEstimate:
     """Detrended fluctuation analysis of the log-price window.
 
-    ``mode="profile"`` (default) runs the standard construction: the
-    signal is the cumulative sum of mean-centered log returns.
-    ``mode="raw"`` detrends the log prices directly.  Each dyadic scale m
-    yields the fluctuation ``F_m = (mean over blocks of B_i) ** (1/q)``
+    ``mode="profile"`` (default) is the standard construction on the
+    cumulative sum of mean-centered log returns.  That profile differs
+    from ``x[1:]`` by an offset and a linear ramp, which block-wise linear
+    detrending removes, so this mode detrends ``x[1:]``.  ``mode="raw"``
+    detrends all of the log prices.  Each dyadic scale m yields the
+    fluctuation ``F_m = (mean over blocks of B_i) ** (1/q)``
     with ``B_i = (mean squared residual) ** (q/2)``; the exponent is the
     slope of ``log F_m`` against ``log m``.
     """

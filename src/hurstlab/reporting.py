@@ -11,7 +11,6 @@ from .pipeline import BucketReport, BucketRow, Observation
 __all__ = [
     "OBSERVATION_COLUMNS",
     "observations_csv",
-    "render_report_table",
     "render_method_table",
     "report_csv",
 ]
@@ -86,11 +85,6 @@ def render_method_table(reports: Sequence[BucketReport]) -> str:
     ]
     title = f"Annualized return for {method.value} ({scheme} buckets)"
     return _render_table(title, labels, columns)
-
-
-def render_report_table(rep: BucketReport) -> str:
-    """Single-window table, same layout as ``render_method_table``."""
-    return render_method_table([rep])
 
 
 def report_csv(rep: BucketReport) -> str:

@@ -3,20 +3,18 @@
 ``PriceSeries`` holds one instrument's positive price history on integer
 trading-day ordinals, ``LogSeries`` its natural-log transform, and
 ``fit_rows`` the row-wise least-squares line every log-log scaling fit in
-this package reduces to (``ols_slope_xy`` and ``ols_slope`` are its
-one-row calls).  All types are immutable after construction and
-all operations are pure functions, so values can be shared freely across
-threads.
+this package reduces to (``ols_slope_xy`` is its one-row call).  All
+types are immutable after construction and all operations are pure
+functions, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateRegression, HurstLabError, NonFiniteInput, NonPositivePrice, SeriesTooShort
+from .errors import DegenerateRegression, HurstLabError, NonFiniteInput, NonPositivePrice
 
 __all__ = [
     "PriceSeries",
@@ -24,8 +22,6 @@ __all__ = [
     "RegressionFit",
     "RowFits",
     "to_log_prices",
-    "log_returns",
-    "ols_slope",
     "ols_slope_xy",
     "fit_rows",
 ]
@@ -101,13 +97,6 @@ def to_log_prices(series: PriceSeries) -> LogSeries:
     if np.any(series.prices <= 0.0):
         raise NonPositivePrice(f"{series.instrument_id}: prices must be strictly positive")
     return LogSeries(series.instrument_id, series.dates, np.log(series.prices))
-
-
-def log_returns(series: LogSeries) -> np.ndarray:
-    """First differences of the log values; output is one element shorter."""
-    if len(series) < 2:
-        raise SeriesTooShort(f"{series.instrument_id}: need at least 2 points, got {len(series)}")
-    return np.diff(series.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +176,3 @@ def ols_slope_xy(x, y) -> RegressionFit:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional and equally long")
     return fit_rows(x, y[None, :]).row(0)
-
-
-def ols_slope(points: Iterable[tuple[float, float]]) -> RegressionFit:
-    """``ols_slope_xy`` over a sequence of (x, y) pairs."""
-    pts = np.array(list(points), dtype=np.float64)
-    if pts.size == 0:
-        raise DegenerateRegression("need at least 2 points, got 0")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (x, y) pairs")
-    return ols_slope_xy(pts[:, 0], pts[:, 1])

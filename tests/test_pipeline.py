@@ -25,7 +25,7 @@ from hurstlab import (
     scan,
 )
 from hurstlab.pipeline import window_end_positions
-from hurstlab.reporting import render_report_table
+from hurstlab.reporting import render_method_table
 
 
 def _walk_universe(n_series, length, seed, scale=0.01):
@@ -112,12 +112,14 @@ class TestScanGeometry:
         assert err.value.instrument_id == "W00"
 
     def test_degenerate_rows_inside_a_batch_match_the_one_row_path(self):
-        # a random walk with a halted (flat) stretch and a stretch whose log
-        # prices alternate between two values
+        # a random walk with a halted (flat) stretch, a stretch whose log
+        # prices alternate between two values, and a 5% jump into a second
+        # halt on the second day of the last window
         rng = np.random.Generator(np.random.PCG64(7))
         prices = np.exp(3.0 + np.cumsum(rng.normal(0.0, 0.01, 400)))
         prices[120:220] = prices[120]
-        prices[260:360] = np.where(np.arange(100) % 2 == 0, 7.0, 8.0)
+        prices[260:336] = np.where(np.arange(76) % 2 == 0, 7.0, 8.0)
+        prices[337:] = 1.05 * prices[336]
         values = np.log(prices)
         spec = ScanSpec(window=32, roll_step=4)
         result = scan([PriceSeries("X", np.arange(400), prices)], spec)
@@ -128,14 +130,16 @@ class TestScanGeometry:
         for t in window_end_positions(400, 32, 4):
             window = LogSeries("X", np.arange(t - 31, t + 1), values[t - 31 : t + 1])
             is_flat = t - 31 >= 120 and t < 220
-            is_period_two = t - 31 >= 260 and t < 360
+            # linear after its first point: only DFA's detrended profile vanishes
+            is_flat_from_day_2 = t - 31 == 336
+            is_period_two = t - 31 >= 260 and t < 336
             flat += is_flat
             period_two += is_period_two
             for method in spec.methods:
                 try:
                     alone = estimate(method, window, spec.config_for(method))
                 except HurstLabError as exc:
-                    assert is_flat
+                    assert is_flat or (is_flat_from_day_2 and method is Method.DFA)
                     assert skipped[(t, method)] == str(exc)
                     assert (t, method) not in observed
                     continue
@@ -146,6 +150,8 @@ class TestScanGeometry:
                     assert alone.fit.n_points == 10  # only the odd lags 1..19 survive
             if is_flat:
                 assert all((t, method) in skipped for method in spec.methods)
+            if is_flat_from_day_2:
+                assert (t, Method.DFA) in skipped and (t, Method.GHE) in observed
         assert flat > 0 and period_two > 0
 
     def test_spec_validation(self):
@@ -299,8 +305,8 @@ class TestDeterminismAndInvariance:
             tol = 1e-9 if a.method is Method.GHE else 1e-12
             assert b.h == pytest.approx(a.h, abs=tol)
         for method in (Method.DFA, Method.GM2):
-            a = render_report_table(report(base.for_group(64, method), 64, method))
-            b = render_report_table(report(scaled.for_group(64, method), 64, method))
+            a = render_method_table([report(base.for_group(64, method), 64, method)])
+            b = render_method_table([report(scaled.for_group(64, method), 64, method)])
             assert a == b
 
     def test_scan_is_deterministic(self):

@@ -8,7 +8,6 @@ from hurstlab.reporting import (
     OBSERVATION_COLUMNS,
     observations_csv,
     render_method_table,
-    render_report_table,
     report_csv,
 )
 
@@ -74,7 +73,7 @@ class TestObservationCsv:
 class TestReportRendering:
     def test_single_window_table_has_six_labeled_rows(self):
         rep = report(exemplar_observations(128), 128, Method.GHE)
-        text = render_report_table(rep)
+        text = render_method_table([rep])
         lines = text.splitlines()
         assert len(lines) == 8  # title + header + 6 labeled rows
         assert lines[1].startswith("H range")
@@ -93,7 +92,7 @@ class TestReportRendering:
 
     def test_empty_bucket_renders_na(self):
         obs = [_obs("A", 127 + 20 * i, h=0.5, fwd=0.0) for i in range(25)]
-        text = render_report_table(report(obs, 128, Method.GHE))
+        text = render_method_table([report(obs, 128, Method.GHE)])
         assert "n/a" in text
 
     def test_mixed_methods_rejected(self):

@@ -5,13 +5,9 @@ import pytest
 
 from hurstlab import (
     DegenerateRegression,
-    LogSeries,
     NonFiniteInput,
     NonPositivePrice,
     PriceSeries,
-    SeriesTooShort,
-    log_returns,
-    ols_slope,
     ols_slope_xy,
     to_log_prices,
 )
@@ -75,48 +71,23 @@ class TestToLogPrices:
         assert np.max(np.abs(back - prices) / prices) <= 1e-12
 
 
-class TestLogReturns:
-    def test_constant_series_gives_zeros(self):
-        x = LogSeries("X", np.arange(4), np.full(4, 2.5))
-        assert log_returns(x).tolist() == [0.0, 0.0, 0.0]
-
-    def test_arithmetic(self):
-        x = LogSeries("X", np.arange(3), np.array([0.0, 1.0, 2.0]))
-        assert log_returns(x).tolist() == [1.0, 1.0]
-
-    def test_from_prices(self):
-        out = log_returns(to_log_prices(_prices([100.0, 110.0, 99.0])))
-        assert out == pytest.approx([math.log(1.1), math.log(0.9)], rel=1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            log_returns(LogSeries("X", np.arange(1), np.array([1.0])))
-
-    def test_invariant_under_global_price_rescaling(self):
-        prices = np.array([100.0, 110.0, 99.0, 105.5])
-        base = log_returns(to_log_prices(_prices(prices)))
-        for c in (2.0, 3.7, 1e-3):
-            scaled = log_returns(to_log_prices(_prices(prices * c)))
-            assert scaled == pytest.approx(base, abs=1e-12)
-
-
 class TestOlsSlope:
     def test_identity_line(self):
-        fit = ols_slope([(0, 0), (1, 1), (2, 2)])
+        fit = ols_slope_xy([0, 1, 2], [0, 1, 2])
         assert fit.slope == pytest.approx(1.0, abs=1e-14)
         assert fit.intercept == pytest.approx(0.0, abs=1e-14)
         assert fit.r_squared >= 1.0 - 1e-12
         assert fit.n_points == 3
 
     def test_horizontal_line(self):
-        fit = ols_slope([(0, 5), (1, 5), (2, 5)])
+        fit = ols_slope_xy([0, 1, 2], [5, 5, 5])
         assert fit.slope == 0.0
         assert fit.intercept == 5.0
         assert fit.r_squared == 1.0  # SS_tot = SS_res = 0 by definition
 
     def test_three_point_tent(self):
         # normal equations by hand: slope 0, intercept 1/3, r^2 = 0
-        fit = ols_slope([(0, 0), (1, 1), (2, 0)])
+        fit = ols_slope_xy([0, 1, 2], [0, 1, 0])
         assert fit.slope == pytest.approx(0.0, abs=1e-15)
         assert fit.intercept == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert fit.r_squared == pytest.approx(0.0, abs=1e-14)
@@ -140,14 +111,14 @@ class TestOlsSlope:
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateRegression):
-            ols_slope([(1.0, 2.0)])
+            ols_slope_xy([1.0], [2.0])
         with pytest.raises(DegenerateRegression):
-            ols_slope([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+            ols_slope_xy([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
         with pytest.raises(DegenerateRegression):
-            ols_slope([])
+            ols_slope_xy([], [])
 
     def test_non_finite_input(self):
         with pytest.raises(NonFiniteInput):
-            ols_slope([(0.0, 1.0), (1.0, math.nan)])
+            ols_slope_xy([0.0, 1.0], [1.0, math.nan])
         with pytest.raises(NonFiniteInput):
-            ols_slope([(0.0, 1.0), (math.inf, 2.0)])
+            ols_slope_xy([0.0, math.inf], [1.0, 2.0])

@@ -75,13 +75,24 @@ class TestGenerateFbm:
 
     def test_forced_methods_and_scale(self):
         spec = FbmSpec(h=0.5, length=64, seed=7, scale=0.01)
-        a = generate_fbm(spec, method="circulant")
-        b = generate_fbm(spec, method="auto")
-        assert np.array_equal(a.values, b.values)  # auto picks circulant for valid h
-        c = generate_fbm(spec, method="hosking")
-        assert len(c) == 64 and c.values[0] == 0.0
-        with pytest.raises(ValueError):
-            generate_fbm(spec, method="bogus")
+
+        def rng():
+            return np.random.Generator(np.random.PCG64(spec.seed))
+
+        path = generate_fbm(spec)  # circulant embedding succeeds for this h
+        noise = _fgn_circulant(63, spec.h, spec.scale, rng())
+        assert path.values[0] == 0.0
+        assert np.array_equal(path.values[1:], np.cumsum(noise))
+        hosking = _fgn_hosking(63, spec.h, spec.scale, rng())
+        assert hosking.shape == (63,) and np.all(np.isfinite(hosking))
+        assert np.array_equal(hosking, spec.scale * _fgn_hosking(63, spec.h, 1.0, rng()))
+
+    def test_hosking_fallback_is_reachable(self):
+        # near H = 1 on long paths the smallest circulant eigenvalue rounds
+        # below the tolerance (min/max about -1.2e-8), so generate_fbm falls
+        # back to the sequential recursion there
+        rng = np.random.Generator(np.random.PCG64(0))
+        assert _fgn_circulant(262143, 0.999, 1.0, rng) is None
 
     @pytest.mark.parametrize("h,seed", [(0.3, 777), (0.7, 777)])
     def test_stationary_increments_across_halves(self, h, seed):
