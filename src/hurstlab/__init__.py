@@ -35,6 +35,7 @@ from .pipeline import (
     BucketRow,
     Diagnostic,
     Observation,
+    ObservationPool,
     ScanResult,
     ScanSpec,
     annualize,

@@ -19,10 +19,11 @@ import argparse
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import HurstLabError
-from .estimators import DFA_MODE_PROFILE, DFA_MODE_RAW, EstimatorConfig, Method, default_config
+from .estimators import DFA_MODE_PROFILE, DFA_MODE_RAW, Method, default_config
 from .ingest import ingest_csv, ingest_dir, write_csv
 from .pipeline import ScanSpec, scan, report
 from .reporting import observations_csv, render_method_table, report_csv
@@ -129,14 +130,10 @@ def _cohort_from_args(args: argparse.Namespace):
     )
 
 
-def _overridden_config(args: argparse.Namespace, method: Method, window: int) -> EstimatorConfig:
-    base = default_config(method, window, dfa_mode=args.dfa_profile)
-    return EstimatorConfig(
-        q=args.q if args.q is not None else base.q,
-        tau_max=args.tau_max if args.tau_max is not None else base.tau_max,
-        k_min=args.k_min if args.k_min is not None else base.k_min,
-        k_max=args.k_max if args.k_max is not None else base.k_max,
-    )
+def _overrides(args: argparse.Namespace) -> dict:
+    """The estimator settings the user set on the command line."""
+    names = ("q", "tau_max", "k_min", "k_max")
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -181,25 +178,27 @@ def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_di
     render = (lambda rep: render_method_table([rep])) if args.format == "table" else report_csv
     summary_reports: dict[Method, list] = {m: [] for m in methods}
     total_diagnostics = 0
+    overrides = _overrides(args)
     for window in windows:
         spec = ScanSpec(
             window=window,
             roll_step=window if args.non_overlapping else args.roll,
             methods=tuple(methods),
-            configs={m: _overridden_config(args, m, window) for m in methods},
+            configs={
+                m: replace(default_config(m, window, dfa_mode=args.dfa_profile), **overrides) for m in methods
+            },
             dfa_mode=args.dfa_profile,
         )
         result = scan(universe, spec)
         total_diagnostics += len(result.diagnostics)
-        for method in methods:
+        for method, pool in result.pools.items():
             tag = f"{method.value.lower()}_w{window}"
-            group = result.for_group(window, method)
             if args.exclude_suspect:
-                group = tuple(o for o in group if not o.suspect)
-            (out_dir / f"observations_{tag}.csv").write_text(observations_csv(group), encoding="utf-8")
+                pool = pool.select(~pool.suspect)
+            (out_dir / f"observations_{tag}.csv").write_text(observations_csv(pool), encoding="utf-8")
             try:
-                quintile = report(group, window, method, scheme="quintile")
-                tail = report(group, window, method, scheme="tail")
+                quintile = report(pool, window, method, scheme="quintile")
+                tail = report(pool, window, method, scheme="tail")
             except HurstLabError as exc:
                 raise HurstLabError(f"{tag}: {exc}") from exc
             summary_reports[method].append(quintile)

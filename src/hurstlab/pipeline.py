@@ -18,14 +18,15 @@ permuted universe produces bit-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
-from .estimators import DFA_MODE_PROFILE, EstimatorConfig, Method, default_config, estimate_rows, is_suspect
+from .estimators import DFA_MODE_PROFILE, EstimatorConfig, Method, default_config, estimate_rows
 from .series import PriceSeries, to_log_prices
 
 __all__ = [
@@ -36,7 +37,9 @@ __all__ = [
     "ScanSpec",
     "Observation",
     "Diagnostic",
+    "ObservationPool",
     "ScanResult",
+    "as_pool",
     "scan",
     "bucketize",
     "annualize",
@@ -73,6 +76,8 @@ class ScanSpec:
         if not self.methods:
             raise ValueError("at least one method required")
         object.__setattr__(self, "methods", tuple(self.methods))
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("each method may appear only once")
 
     def config_for(self, method: Method) -> EstimatorConfig:
         if self.configs is not None and method in self.configs:
@@ -103,15 +108,91 @@ class Diagnostic:
     reason: str
 
 
+@dataclass(frozen=True, eq=False)
+class ObservationPool:
+    """The observations of one (window, method) pool, one array per field.
+
+    Rows are in canonical (instrument id, window end) order.  Pools compare
+    equal when their ``observations()`` are.  A pool built from no
+    observations has no window or method.
+    """
+
+    window: int | None
+    method: Method | None
+    instrument_id: np.ndarray  # of str
+    window_end: np.ndarray
+    h: np.ndarray
+    suspect: np.ndarray
+    forward_log_return: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObservationPool):
+            return NotImplemented
+        return self.observations() == other.observations()
+
+    def select(self, keep: np.ndarray) -> ObservationPool:
+        """The rows ``keep`` marks, in the same order."""
+        return replace(
+            self, instrument_id=self.instrument_id[keep], window_end=self.window_end[keep], h=self.h[keep],
+            suspect=self.suspect[keep], forward_log_return=self.forward_log_return[keep],
+        )
+
+    def observations(self) -> tuple[Observation, ...]:
+        """Each row as an ``Observation``."""
+        return tuple(map(
+            Observation, self.instrument_id.tolist(), self.window_end.tolist(), repeat(self.method),
+            self.h.tolist(), self.suspect.tolist(), self.forward_log_return.tolist(), repeat(self.window),
+        ))
+
+
+def as_pool(observations: ObservationPool | Iterable[Observation]) -> ObservationPool:
+    """Observations that share one (window, method), in any order, as their pool.
+
+    A pool is returned as it is.
+    """
+    if isinstance(observations, ObservationPool):
+        return observations
+    obs = sorted(observations, key=lambda o: (o.instrument_id, o.window_end))
+    groups = {(o.forward_days, o.method) for o in obs}
+    if len(groups) > 1:
+        raise ValueError("observations must share one (window, method) pool")
+    window, method = groups.pop() if groups else (None, None)
+    return ObservationPool(
+        window,
+        method,
+        np.array([o.instrument_id for o in obs], dtype=object),
+        np.array([o.window_end for o in obs], dtype=np.int64),
+        np.array([o.h for o in obs], dtype=np.float64),
+        np.array([o.suspect for o in obs], dtype=bool),
+        np.array([o.forward_log_return for o in obs], dtype=np.float64),
+    )
+
+
 @dataclass(frozen=True)
 class ScanResult:
-    observations: tuple[Observation, ...]
+    """One scan's pool per method, in the spec's order, and what it skipped.
+
+    ``observations`` and ``for_group`` view the pools as ``Observation``
+    objects, built on each call.
+    """
+
+    pools: dict[Method, ObservationPool]
     diagnostics: tuple[Diagnostic, ...] = field(default=())
 
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        """Every observation, in (instrument id, window end, method) order."""
+        return tuple(sorted(
+            (o for pool in self.pools.values() for o in pool.observations()),
+            key=lambda o: (o.instrument_id, o.window_end, o.method.value),
+        ))
+
     def for_group(self, window: int, method: Method) -> tuple[Observation, ...]:
-        return tuple(
-            o for o in self.observations if o.method is method and o.forward_days == window
-        )
+        pool = self.pools.get(method)
+        return pool.observations() if pool is not None and pool.window == window else ()
 
 
 def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
@@ -124,10 +205,13 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     """Run the rolling protocol over every instrument in the universe.
 
     Each instrument's windows form one ``(n_windows, window)`` matrix of
-    log prices, and every method estimates all of its rows in one call.
-    Estimator failures at a position skip that (position, method) pair and
-    are tallied as diagnostics; series too short for even one observation
-    produce a single diagnostic.  Instrument ids must be unique.
+    log prices, and every method estimates all of its rows in one call;
+    the rows it keeps extend that method's pool.  Instruments are taken in
+    id order and window ends ascend, so each pool is in canonical order
+    without a sort.  Estimator failures at a position skip that (position,
+    method) pair and are tallied as diagnostics; series too short for even
+    one observation produce a single diagnostic.  Instrument ids must be
+    unique.
     """
     series_list = sorted(universe, key=lambda s: s.instrument_id)
     if not series_list:
@@ -138,7 +222,8 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
                 f"instrument {a.instrument_id} appears more than once in the universe", a.instrument_id
             )
     configs = {method: spec.config_for(method) for method in spec.methods}
-    observations: list[Observation] = []
+    empty = (np.empty(0, object), np.empty(0, np.int64), np.empty(0), np.empty(0))
+    columns = {method: [empty] for method in spec.methods}  # (id, window end, h, forward) parts
     diagnostics: list[Diagnostic] = []
     for series in series_list:
         log = to_log_prices(series)
@@ -155,44 +240,30 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
             continue
         ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
         windows = sliding_window_view(values, spec.window)[ends - spec.window + 1]
-        forwards = (values[ends + spec.window] - values[ends]).tolist()
-        per_method = []
-        for method in spec.methods:
+        forwards = values[ends + spec.window] - values[ends]
+        window_ends = log.dates[ends]
+        failed = []
+        for k, method in enumerate(spec.methods):
             try:
                 h, fits = estimate_rows(method, windows, configs[method], dfa_mode=spec.dfa_mode)
             except HurstLabError as exc:
-                h, errors = [math.nan] * len(ends), dict.fromkeys(range(len(ends)), exc)
+                h, errors = np.full(len(ends), np.nan), dict.fromkeys(range(len(ends)), exc)
             else:
-                h, errors = h.tolist(), fits.errors
-            per_method.append((method, h, errors))
-        for i, window_end in enumerate(log.dates[ends].tolist()):
-            for method, h, errors in per_method:
-                if i in errors:
-                    diagnostics.append(Diagnostic(series.instrument_id, window_end, method, str(errors[i])))
-                    continue
-                observations.append(
-                    Observation(
-                        instrument_id=series.instrument_id,
-                        window_end=window_end,
-                        method=method,
-                        h=h[i],
-                        suspect=is_suspect(h[i]),
-                        forward_log_return=forwards[i],
-                        forward_days=spec.window,
-                    )
-                )
-    observations.sort(key=lambda o: (o.instrument_id, o.window_end, o.method.value))
-    return ScanResult(tuple(observations), tuple(diagnostics))
-
-
-def _pooled(observations: Iterable[Observation]) -> list[Observation]:
-    obs = list(observations)
-    if obs:
-        methods = {o.method for o in obs}
-        windows = {o.forward_days for o in obs}
-        if len(methods) > 1 or len(windows) > 1:
-            raise ValueError("observations must share one (window, method) pool")
-    return obs
+                errors = fits.errors
+            keep = np.ones(len(ends), dtype=bool)
+            keep[list(errors)] = False
+            ids = np.full(keep.sum(), series.instrument_id, dtype=object)
+            columns[method].append((ids, window_ends[keep], h[keep], forwards[keep]))
+            failed += [(i, k, errors[i]) for i in errors]
+        for i, k, exc in sorted(failed, key=lambda f: f[:2]):  # by window end, then method
+            end = int(window_ends[i])
+            diagnostics.append(Diagnostic(series.instrument_id, end, spec.methods[k], str(exc)))
+    pools = {}
+    for method, parts in columns.items():
+        ids, window_end, h, forward = (np.concatenate(column) for column in zip(*parts))
+        suspect = ~((0.0 < h) & (h < 2.0))  # is_suspect, row by row
+        pools[method] = ObservationPool(spec.window, method, ids, window_end, h, suspect, forward)
+    return ScanResult(pools, tuple(diagnostics))
 
 
 def _bucket_indices(hs: np.ndarray, scheme: str) -> np.ndarray:
@@ -212,7 +283,9 @@ def _bucket_indices(hs: np.ndarray, scheme: str) -> np.ndarray:
     return np.searchsorted(np.percentile(hs, [90, 95]), hs, side="right") - 1
 
 
-def bucketize(observations: Iterable[Observation], scheme: str = "quintile") -> dict[Observation, str]:
+def bucketize(
+    observations: ObservationPool | Iterable[Observation], scheme: str = "quintile"
+) -> dict[Observation, str]:
     """Assign each observation a percentile bucket of its exponent.
 
     Percentiles are linear interpolations between order statistics over
@@ -220,10 +293,10 @@ def bucketize(observations: Iterable[Observation], scheme: str = "quintile") -> 
     quintile scheme covers every observation; the tail scheme labels only
     observations at or above the 90th percentile.
     """
-    obs = _pooled(observations)
-    indices = _bucket_indices(np.array([o.h for o in obs]), scheme)
+    pool = as_pool(observations)
+    indices = _bucket_indices(pool.h, scheme)
     labels = _LABELS[scheme]
-    return {o: labels[i] for o, i in zip(obs, indices.tolist()) if i >= 0}
+    return {o: labels[i] for o, i in zip(pool.observations(), indices.tolist()) if i >= 0}
 
 
 def annualize(mean_log_return: float, window: int) -> float:
@@ -260,21 +333,20 @@ def _bucket_row(label: str, forwards: np.ndarray, window: int) -> BucketRow:
 
 
 def report(
-    observations: Iterable[Observation],
+    observations: ObservationPool | Iterable[Observation],
     window: int,
     method: Method,
     scheme: str = "quintile",
 ) -> BucketReport:
     """Bucketed annualized-return table plus the unconditional "any" row."""
-    obs = _pooled(observations)
-    for o in obs:
-        if o.method is not method or o.forward_days != window:
-            raise ValueError(
-                f"observation {o.instrument_id}@{o.window_end} does not belong to "
-                f"({window}, {method.value})"
-            )
-    indices = _bucket_indices(np.array([o.h for o in obs]), scheme)
-    forwards = np.array([o.forward_log_return for o in obs])
+    pool = as_pool(observations)
+    if len(pool) and (pool.method is not method or pool.window != window):
+        raise ValueError(
+            f"observation {pool.instrument_id[0]}@{pool.window_end[0]} does not belong to "
+            f"({window}, {method.value})"
+        )
+    indices = _bucket_indices(pool.h, scheme)
+    forwards = pool.forward_log_return
     rows = tuple(
         _bucket_row(label, forwards[indices == i], window) for i, label in enumerate(_LABELS[scheme])
     )

@@ -6,7 +6,10 @@ import io
 import math
 from typing import Iterable, Sequence
 
-from .pipeline import BucketReport, BucketRow, Observation
+import numpy as np
+
+from .ingest import _csv_field
+from .pipeline import BucketReport, BucketRow, Observation, ObservationPool, as_pool
 
 __all__ = [
     "OBSERVATION_COLUMNS",
@@ -30,17 +33,22 @@ def _fmt9(x: float) -> str:
     return format(x, ".9g")
 
 
-def observations_csv(observations: Iterable[Observation]) -> str:
-    """Observations as CSV text, canonically ordered for reproducibility."""
-    rows = sorted(observations, key=lambda o: (o.instrument_id, o.window_end, o.method.value))
-    buf = io.StringIO()
-    buf.write(",".join(OBSERVATION_COLUMNS) + "\n")
-    for o in rows:
-        buf.write(
-            f"{o.instrument_id},{o.window_end},{o.method.value},"
-            f"{_fmt9(o.h)},{'true' if o.suspect else 'false'},{_fmt9(o.forward_log_return)}\n"
-        )
-    return buf.getvalue()
+def observations_csv(observations: ObservationPool | Iterable[Observation]) -> str:
+    """One (window, method) pool as CSV text, in canonical (instrument id, window end) order.
+
+    An id holding a comma, quote or line break is quoted as ``csv`` does.
+    """
+    pool = as_pool(observations)
+    header = ",".join(OBSERVATION_COLUMNS) + "\n"
+    if not len(pool):
+        return header
+    ids = pool.instrument_id.tolist()
+    quoted = {name: _csv_field(name) for name in set(ids)}
+    ids = list(map(quoted.__getitem__, ids))
+    row = f"{{}},{{}},{pool.method.value},{{:.9g}},{{}},{{:.9g}}\n".format
+    suspect = np.where(pool.suspect, "true", "false").tolist()
+    h, forward = pool.h.tolist(), pool.forward_log_return.tolist()
+    return header + "".join(map(row, ids, pool.window_end.tolist(), h, suspect, forward))
 
 
 def _all_rows(rep: BucketReport) -> list[BucketRow]:

@@ -1,8 +1,9 @@
+import csv
 from pathlib import Path
 
 import pytest
 
-from hurstlab import ingest_csv
+from hurstlab import PriceSeries, generate_drifted_cohort, ingest_csv, write_csv
 from hurstlab.cli import main
 
 
@@ -141,6 +142,23 @@ class TestRun:
         assert code == 0
         lines = (out / "observations_gm2_w32.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * ((300 - 64) // 20 + 1)
+
+    def test_ids_that_need_quoting_round_trip_through_observation_files(self, tmp_path):
+        ids = ("BRK,A", 'X"Y', "ZED")
+        cohort = generate_drifted_cohort(3, 400, (0.5,), {0.5: 0.0}, seed=4)
+        csv_path = tmp_path / "u.csv"
+        write_csv([PriceSeries(i, s.dates, s.prices) for i, s in zip(ids, cohort)], csv_path)
+        out = tmp_path / "out"
+        assert _run(["run", "--input", csv_path, "--windows", "32", "--out", out]) == 0
+        for path in sorted(out.glob("observations_*.csv")):
+            with path.open(newline="", encoding="utf-8") as f:
+                rows = list(csv.reader(f))[1:]
+            assert rows and all(len(row) == 6 for row in rows), path.name
+            assert sorted({row[0] for row in rows}) == sorted(ids)
+        plain = (out / "observations_ghe_w32.csv").read_text(encoding="utf-8").splitlines()
+        assert any(line.startswith('"BRK,A",') for line in plain)
+        assert any(line.startswith('"X""Y",') for line in plain)
+        assert any(line.startswith("ZED,") for line in plain)
 
     def test_drifted_cohort_orders_extreme_buckets_everywhere(self, tmp_path):
         # end-to-end: the seeded 60-stock drift-ordered cohort must put the

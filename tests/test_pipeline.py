@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstlab import (
     ANY_LABEL,
@@ -16,6 +18,7 @@ from hurstlab import (
     QUINTILE_LABELS,
     ScanSpec,
     TAIL_LABELS,
+    Diagnostic,
     TooFewObservations,
     annualize,
     bucketize,
@@ -24,8 +27,8 @@ from hurstlab import (
     report,
     scan,
 )
-from hurstlab.pipeline import window_end_positions
-from hurstlab.reporting import render_method_table
+from hurstlab.pipeline import as_pool, window_end_positions
+from hurstlab.reporting import observations_csv, render_method_table, report_csv
 
 
 def _walk_universe(n_series, length, seed, scale=0.01):
@@ -161,6 +164,11 @@ class TestScanGeometry:
             ScanSpec(window=32, roll_step=0)
         with pytest.raises(ValueError):
             ScanSpec(window=32, methods=())
+
+    def test_repeated_method_rejected(self):
+        # each method fills one pool, so a repeat has nowhere to go
+        with pytest.raises(ValueError):
+            ScanSpec(window=32, methods=(Method.GHE, Method.GM2, Method.GHE))
 
     def test_forward_return_matches_log_price_change(self):
         universe = _walk_universe(1, 96, seed=503)
@@ -313,3 +321,129 @@ class TestDeterminismAndInvariance:
         universe = _walk_universe(3, 224, seed=602)
         spec = ScanSpec(window=64, roll_step=20)
         assert scan(universe, spec) == scan(universe, spec)
+
+
+class TestColumnarScanOracle:
+    def test_every_window_end_matches_the_one_row_estimate(self):
+        # ids given out of order; one series too short for the window; a
+        # halted stretch; trading-day dates that start at 1000 and step by 3
+        rng = np.random.Generator(np.random.PCG64(11))
+        universe = []
+        for name, length in (("ZULU", 260), ("ALPHA", 300), ("SHORT", 120), ("MIKE", 200)):
+            prices = np.exp(2.0 + np.cumsum(rng.normal(0.0, 0.01, length)))
+            if name == "MIKE":
+                prices[40:150] = prices[40]
+            universe.append(PriceSeries(name, 1000 + 3 * np.arange(length), prices))
+        spec = ScanSpec(window=64, roll_step=7)
+        result = scan(universe, spec)
+
+        expected = {method: [] for method in spec.methods}
+        diagnostics = []
+        for series in sorted(universe, key=lambda s: s.instrument_id):
+            values = np.log(series.prices)
+            if len(values) < 128:
+                reason = f"series of {len(values)} points is shorter than 2*window=128"
+                diagnostics.append(Diagnostic(series.instrument_id, None, None, reason))
+                continue
+            for t in window_end_positions(len(values), 64, 7):
+                window = LogSeries(series.instrument_id, series.dates[t - 63 : t + 1], values[t - 63 : t + 1])
+                for method in spec.methods:
+                    end = int(series.dates[t])
+                    try:
+                        alone = estimate(method, window, spec.config_for(method))
+                    except HurstLabError as exc:
+                        diagnostics.append(Diagnostic(series.instrument_id, end, method, str(exc)))
+                        continue
+                    forward = values[t + 64] - values[t]
+                    expected[method].append((series.instrument_id, end, alone.h, alone.suspect, forward))
+
+        assert list(result.diagnostics) == diagnostics
+        assert any(d.method is not None for d in diagnostics)  # the halt made some windows degenerate
+        for method, rows in expected.items():
+            pool = result.pools[method]
+            assert (pool.window, pool.method) == (64, method)
+            found = list(zip(
+                pool.instrument_id.tolist(), pool.window_end.tolist(), pool.h.tolist(), pool.suspect.tolist(),
+                pool.forward_log_return.tolist(),
+            ))
+            assert found == rows  # exact: h bit for bit, in canonical order
+            assert all(isinstance(end, int) and (end - 1000) % 3 == 0 for _, end, *_ in found)
+
+
+def _random_walks(seed, n_series, length):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [
+        PriceSeries(f"P{i}", np.arange(length), np.exp(3.0 + np.cumsum(rng.normal(0.0, 0.01, length))))
+        for i in range(n_series)
+    ]
+
+
+def _pool_texts(result, window):
+    texts = {}
+    for method, pool in result.pools.items():
+        texts[method] = [observations_csv(pool)]
+        for scheme in ("quintile", "tail"):
+            try:
+                rep = report(pool, window, method, scheme=scheme)
+            except TooFewObservations as exc:
+                texts[method].append(str(exc))
+                continue
+            texts[method] += [render_method_table([rep]), report_csv(rep)]
+    return texts
+
+
+class TestPoolProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_series=st.integers(1, 6),
+        length=st.integers(64, 320),
+        roll=st.integers(1, 25),
+        data=st.data(),
+    )
+    def test_permuted_universe_writes_identical_bytes(self, seed, n_series, length, roll, data):
+        universe = _random_walks(seed, n_series, length)
+        permuted = data.draw(st.permutations(universe))
+        spec = ScanSpec(window=32, roll_step=roll)
+        assert _pool_texts(scan(universe, spec), 32) == _pool_texts(scan(permuted, spec), 32)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_series=st.integers(1, 4),
+        length=st.integers(128, 320),
+        factor=st.floats(1e-3, 1e3),
+    )
+    def test_rescaled_prices_move_each_h_by_at_most_1e_9(self, seed, n_series, length, factor):
+        universe = _random_walks(seed, n_series, length)
+        rescaled = [PriceSeries(s.instrument_id, s.dates, s.prices * factor) for s in universe]
+        spec = ScanSpec(window=64, roll_step=10)
+        base, scaled = scan(universe, spec), scan(rescaled, spec)
+        for method in spec.methods:
+            a, b = base.pools[method], scaled.pools[method]
+            assert np.array_equal(a.instrument_id, b.instrument_id) and np.array_equal(a.window_end, b.window_end)
+            assert np.max(np.abs(a.h - b.h), initial=0.0) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_series=st.integers(1, 5),
+        length=st.integers(40, 300),
+        roll=st.integers(1, 30),
+        halt=st.integers(0, 200),
+    )
+    def test_pool_from_the_observation_view_equals_the_scanned_pool(self, seed, n_series, length, roll, halt):
+        universe = _random_walks(seed, n_series, length)
+        prices = universe[0].prices.copy()
+        prices[halt : halt + 80] = prices[min(halt, length - 1)]
+        universe[0] = PriceSeries("P0", np.arange(length), prices)
+        result = scan(universe, ScanSpec(window=32, roll_step=roll))
+        for method, pool in result.pools.items():
+            view = [o for o in result.observations if o.method is method]
+            for rebuilt in (as_pool(view), as_pool(reversed(view))):
+                assert rebuilt == pool
+                if view:
+                    assert (rebuilt.window, rebuilt.method) == (pool.window, pool.method)
+                for column in ("instrument_id", "window_end", "h", "suspect", "forward_log_return"):
+                    assert np.array_equal(getattr(rebuilt, column), getattr(pool, column)), column
+            assert result.for_group(32, method) == pool.observations() == tuple(view)
