@@ -34,7 +34,6 @@ from .pipeline import (
     BucketReport,
     BucketRow,
     Diagnostic,
-    Observation,
     ObservationPool,
     ScanResult,
     ScanSpec,

@@ -197,8 +197,8 @@ def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_di
                 pool = pool.select(~pool.suspect)
             (out_dir / f"observations_{tag}.csv").write_text(observations_csv(pool), encoding="utf-8")
             try:
-                quintile = report(pool, window, method, scheme="quintile")
-                tail = report(pool, window, method, scheme="tail")
+                quintile = report(pool, scheme="quintile")
+                tail = report(pool, scheme="tail")
             except HurstLabError as exc:
                 raise HurstLabError(f"{tag}: {exc}") from exc
             summary_reports[method].append(quintile)

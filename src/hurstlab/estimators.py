@@ -179,15 +179,18 @@ def _detrended_fluctuations(signal: np.ndarray, scales, q: float) -> np.ndarray:
 
     Sums within blocks are matrix-vector products, one per row: fast for
     short blocks, and a row's result does not depend on the other rows.
+    Each block is first shifted by its first value, which detrending
+    cancels, so a constant block detrends to exactly 0.
     """
     fluct = np.empty((signal.shape[0], len(scales)))
     for i, m in enumerate(scales):
         blocks = _blocks(signal, m)
+        resid = blocks - blocks[..., :1]
         t = np.arange(m, dtype=np.float64)
         dt = t - t.mean()
         ones = np.ones(m)
-        slopes = (blocks @ dt) / float(dt @ dt)
-        resid = blocks - (blocks @ ones / m)[..., None]
+        slopes = (resid @ dt) / float(dt @ dt)
+        resid -= (resid @ ones / m)[..., None]
         resid -= slopes[..., None] * dt
         block_power = ((resid * resid) @ ones / m) ** (q / 2.0)
         fluct[:, i] = (block_power.sum(axis=-1) / block_power.shape[-1]) ** (1.0 / q)

@@ -213,6 +213,11 @@ def _csv_field(text: str) -> str:
 def _csv_chunks(universe: Iterable[PriceSeries]) -> Iterator[str]:
     """The header line, then each instrument's rows as one string, in id order."""
     ordered = sorted(universe, key=lambda s: s.instrument_id)
+    ids = [s.instrument_id for s in ordered]
+    # ingest strips the whitespace around every field, so these ids would not read back
+    lost = [name for name in ids if not name or name != name.strip()]
+    if lost:
+        raise ValueError(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
     yield ",".join(CSV_HEADER) + "\n"
     if not ordered:
         return
@@ -230,12 +235,16 @@ def emit_csv(universe: Iterable[PriceSeries]) -> str:
     Trading-day ordinals are rendered as calendar days counted from a
     fixed epoch, so ``ingest_rows`` on the output recovers series whose
     ordinals started at 0 exactly (prices round-trip via ``repr``).  An
-    id holding a comma, quote or line break is quoted as ``csv`` does.
+    id holding a comma, quote or line break is quoted as ``csv`` does; an
+    empty id, or one with whitespace around it, raises ``ValueError``.
     """
     return "".join(_csv_chunks(universe))
 
 
 def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
     """Write ``emit_csv(universe)`` to ``path`` one instrument at a time."""
+    chunks = _csv_chunks(universe)
+    header = next(chunks)  # every id is checked before the file is opened
     with Path(path).open("w", encoding="utf-8") as f:
-        f.writelines(_csv_chunks(universe))
+        f.write(header)
+        f.writelines(chunks)

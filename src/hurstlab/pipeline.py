@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -35,11 +34,9 @@ __all__ = [
     "TAIL_LABELS",
     "ANY_LABEL",
     "ScanSpec",
-    "Observation",
     "Diagnostic",
     "ObservationPool",
     "ScanResult",
-    "as_pool",
     "scan",
     "bucketize",
     "annualize",
@@ -86,19 +83,6 @@ class ScanSpec:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One (instrument, window-end, method) record of the protocol."""
-
-    instrument_id: str
-    window_end: int
-    method: Method
-    h: float
-    suspect: bool
-    forward_log_return: float
-    forward_days: int
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     """A skipped series or estimate, with the reason it was skipped."""
 
@@ -110,19 +94,17 @@ class Diagnostic:
 
 @dataclass(frozen=True, eq=False)
 class ObservationPool:
-    """The observations of one (window, method) pool, one array per field.
+    """The observations of one (window, method) pool, one array per column.
 
     Rows are in canonical (instrument id, window end) order.  Pools compare
-    equal when their ``observations()`` are.  A pool built from no
-    observations has no window or method.
+    equal when their window, method and every column are equal.
     """
 
-    window: int | None
-    method: Method | None
+    window: int
+    method: Method
     instrument_id: np.ndarray  # of str
     window_end: np.ndarray
     h: np.ndarray
-    suspect: np.ndarray
     forward_log_return: np.ndarray
 
     def __len__(self) -> int:
@@ -131,68 +113,29 @@ class ObservationPool:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationPool):
             return NotImplemented
-        return self.observations() == other.observations()
+        return (self.window, self.method) == (other.window, other.method) and all(
+            np.array_equal(getattr(self, column), getattr(other, column)) for column in _COLUMNS
+        )
+
+    @property
+    def suspect(self) -> np.ndarray:
+        """``is_suspect`` of each row's exponent."""
+        return ~((0.0 < self.h) & (self.h < 2.0))
 
     def select(self, keep: np.ndarray) -> ObservationPool:
         """The rows ``keep`` marks, in the same order."""
-        return replace(
-            self, instrument_id=self.instrument_id[keep], window_end=self.window_end[keep], h=self.h[keep],
-            suspect=self.suspect[keep], forward_log_return=self.forward_log_return[keep],
-        )
-
-    def observations(self) -> tuple[Observation, ...]:
-        """Each row as an ``Observation``."""
-        return tuple(map(
-            Observation, self.instrument_id.tolist(), self.window_end.tolist(), repeat(self.method),
-            self.h.tolist(), self.suspect.tolist(), self.forward_log_return.tolist(), repeat(self.window),
-        ))
+        return replace(self, **{column: getattr(self, column)[keep] for column in _COLUMNS})
 
 
-def as_pool(observations: ObservationPool | Iterable[Observation]) -> ObservationPool:
-    """Observations that share one (window, method), in any order, as their pool.
-
-    A pool is returned as it is.
-    """
-    if isinstance(observations, ObservationPool):
-        return observations
-    obs = sorted(observations, key=lambda o: (o.instrument_id, o.window_end))
-    groups = {(o.forward_days, o.method) for o in obs}
-    if len(groups) > 1:
-        raise ValueError("observations must share one (window, method) pool")
-    window, method = groups.pop() if groups else (None, None)
-    return ObservationPool(
-        window,
-        method,
-        np.array([o.instrument_id for o in obs], dtype=object),
-        np.array([o.window_end for o in obs], dtype=np.int64),
-        np.array([o.h for o in obs], dtype=np.float64),
-        np.array([o.suspect for o in obs], dtype=bool),
-        np.array([o.forward_log_return for o in obs], dtype=np.float64),
-    )
+_COLUMNS = ("instrument_id", "window_end", "h", "forward_log_return")
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One scan's pool per method, in the spec's order, and what it skipped.
-
-    ``observations`` and ``for_group`` view the pools as ``Observation``
-    objects, built on each call.
-    """
+    """One scan's pool per method, in the spec's order, and what it skipped."""
 
     pools: dict[Method, ObservationPool]
     diagnostics: tuple[Diagnostic, ...] = field(default=())
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        """Every observation, in (instrument id, window end, method) order."""
-        return tuple(sorted(
-            (o for pool in self.pools.values() for o in pool.observations()),
-            key=lambda o: (o.instrument_id, o.window_end, o.method.value),
-        ))
-
-    def for_group(self, window: int, method: Method) -> tuple[Observation, ...]:
-        pool = self.pools.get(method)
-        return pool.observations() if pool is not None and pool.window == window else ()
 
 
 def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
@@ -261,42 +204,28 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     pools = {}
     for method, parts in columns.items():
         ids, window_end, h, forward = (np.concatenate(column) for column in zip(*parts))
-        suspect = ~((0.0 < h) & (h < 2.0))  # is_suspect, row by row
-        pools[method] = ObservationPool(spec.window, method, ids, window_end, h, suspect, forward)
+        pools[method] = ObservationPool(spec.window, method, ids, window_end, h, forward)
     return ScanResult(pools, tuple(diagnostics))
 
 
-def _bucket_indices(hs: np.ndarray, scheme: str) -> np.ndarray:
-    """Index into the scheme's labels of each exponent's bucket; -1 for none.
+def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:
+    """Index into the scheme's labels of each row's exponent bucket; -1 for none.
 
-    The index counts the percentile thresholds at or below the exponent,
-    so boundary ties go to the upper bucket.
+    Percentiles are linear interpolations between order statistics over
+    the pooled exponents.  The index counts the thresholds at or below the
+    exponent, so boundary ties go to the upper bucket.  The quintile scheme
+    covers every row; the tail scheme buckets only rows at or above the
+    90th percentile.
     """
     if scheme not in _MIN_OBS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if len(hs) < _MIN_OBS[scheme]:
+    if len(pool) < _MIN_OBS[scheme]:
         raise TooFewObservations(
-            f"{scheme} bucketing needs >= {_MIN_OBS[scheme]} observations, got {len(hs)}"
+            f"{scheme} bucketing needs >= {_MIN_OBS[scheme]} observations, got {len(pool)}"
         )
     if scheme == "quintile":
-        return np.searchsorted(np.percentile(hs, [20, 40, 60, 80]), hs, side="right")
-    return np.searchsorted(np.percentile(hs, [90, 95]), hs, side="right") - 1
-
-
-def bucketize(
-    observations: ObservationPool | Iterable[Observation], scheme: str = "quintile"
-) -> dict[Observation, str]:
-    """Assign each observation a percentile bucket of its exponent.
-
-    Percentiles are linear interpolations between order statistics over
-    the pooled exponents; boundary ties go to the upper bucket.  The
-    quintile scheme covers every observation; the tail scheme labels only
-    observations at or above the 90th percentile.
-    """
-    pool = as_pool(observations)
-    indices = _bucket_indices(pool.h, scheme)
-    labels = _LABELS[scheme]
-    return {o: labels[i] for o, i in zip(pool.observations(), indices.tolist()) if i >= 0}
+        return np.searchsorted(np.percentile(pool.h, [20, 40, 60, 80]), pool.h, side="right")
+    return np.searchsorted(np.percentile(pool.h, [90, 95]), pool.h, side="right") - 1
 
 
 def annualize(mean_log_return: float, window: int) -> float:
@@ -332,24 +261,13 @@ def _bucket_row(label: str, forwards: np.ndarray, window: int) -> BucketRow:
     return BucketRow(label, len(forwards), annualize(mean, window))
 
 
-def report(
-    observations: ObservationPool | Iterable[Observation],
-    window: int,
-    method: Method,
-    scheme: str = "quintile",
-) -> BucketReport:
-    """Bucketed annualized-return table plus the unconditional "any" row."""
-    pool = as_pool(observations)
-    if len(pool) and (pool.method is not method or pool.window != window):
-        raise ValueError(
-            f"observation {pool.instrument_id[0]}@{pool.window_end[0]} does not belong to "
-            f"({window}, {method.value})"
-        )
-    indices = _bucket_indices(pool.h, scheme)
+def report(pool: ObservationPool, scheme: str = "quintile") -> BucketReport:
+    """Bucketed annualized-return table of one pool plus the unconditional "any" row."""
+    indices = bucketize(pool, scheme)
     forwards = pool.forward_log_return
     rows = tuple(
-        _bucket_row(label, forwards[indices == i], window) for i, label in enumerate(_LABELS[scheme])
+        _bucket_row(label, forwards[indices == i], pool.window) for i, label in enumerate(_LABELS[scheme])
     )
-    benchmark = _bucket_row(ANY_LABEL, forwards, window)
+    benchmark = _bucket_row(ANY_LABEL, forwards, pool.window)
     degenerate = any(row.count == 0 for row in rows)
-    return BucketReport(window, method, scheme, rows, benchmark, degenerate)
+    return BucketReport(pool.window, pool.method, scheme, rows, benchmark, degenerate)

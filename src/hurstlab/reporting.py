@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ingest import _csv_field
-from .pipeline import BucketReport, BucketRow, Observation, ObservationPool, as_pool
+from .pipeline import BucketReport, BucketRow, ObservationPool
 
 __all__ = [
     "OBSERVATION_COLUMNS",
@@ -33,15 +33,12 @@ def _fmt9(x: float) -> str:
     return format(x, ".9g")
 
 
-def observations_csv(observations: ObservationPool | Iterable[Observation]) -> str:
+def observations_csv(pool: ObservationPool) -> str:
     """One (window, method) pool as CSV text, in canonical (instrument id, window end) order.
 
     An id holding a comma, quote or line break is quoted as ``csv`` does.
     """
-    pool = as_pool(observations)
     header = ",".join(OBSERVATION_COLUMNS) + "\n"
-    if not len(pool):
-        return header
     ids = pool.instrument_id.tolist()
     quoted = {name: _csv_field(name) for name in set(ids)}
     ids = list(map(quoted.__getitem__, ids))

@@ -134,9 +134,7 @@ def test_criterion_4_scanner_arithmetic():
         universe.append(PriceSeries(f"S{i}", np.arange(length), np.exp(path.values)))
     result = scan(universe, ScanSpec(window=window, roll_step=roll, methods=(Method.GHE, Method.GM2)))
     counts = {
-        (s.instrument_id, m): sum(
-            1 for o in result.observations if o.instrument_id == s.instrument_id and o.method is m
-        )
+        (s.instrument_id, m): int((result.pools[m].instrument_id == s.instrument_id).sum())
         for s in universe
         for m in (Method.GHE, Method.GM2)
     }
@@ -158,9 +156,9 @@ def test_criterion_5_pipeline_monotonicity_fixture():
     )
     result = scan(cohort, ScanSpec(window=128, roll_step=20, methods=(Method.GHE, Method.GM2)))
     for method in (Method.GHE, Method.GM2):
-        group = result.for_group(128, method)
-        quintile = report(group, 128, method, scheme="quintile")
-        tail = report(group, 128, method, scheme="tail")
+        pool = result.pools[method]
+        quintile = report(pool, scheme="quintile")
+        tail = report(pool, scheme="tail")
         rows = [r.annualized_return for r in quintile.rows]
         top_tail = tail.rows[TAIL_LABELS.index("p>95")].annualized_return
         _check(
@@ -213,9 +211,9 @@ def test_criterion_6_exactness_suite():
 
 
 def test_criterion_7_report_format_golden():
-    from test_reporting import EXEMPLAR_TABLE, exemplar_observations
+    from test_reporting import EXEMPLAR_TABLE, exemplar_pool
 
-    reports = [report(exemplar_observations(w), w, Method.GHE) for w in sorted(EXEMPLAR_TABLE)]
+    reports = [report(exemplar_pool(w)) for w in sorted(EXEMPLAR_TABLE)]
     text = render_method_table(reports)
     golden = (Path(__file__).parent / "fixtures" / "quintile_table_golden.txt").read_text(encoding="utf-8")
     _check(

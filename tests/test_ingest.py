@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -266,6 +267,17 @@ class TestIngest:
         back = ingest_csv(path)
         assert [s.instrument_id for s in back] == ["BRK,A", 'X"Y', "Z"]
         assert all(np.array_equal(s.prices, [1.0, 2.5, 3.0]) for s in back)
+
+    @pytest.mark.parametrize("lost", [" A", "A ", "\tA", "A\n", ""])
+    def test_ids_that_would_not_read_back_are_rejected(self, tmp_path, lost):
+        # ingest strips the whitespace around fields: " A" would come back as "A"
+        universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in ("A", lost, "BRK,A")]
+        with pytest.raises(ValueError, match=re.escape(repr(lost))):
+            emit_csv(universe)
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(lost))):
+            write_csv(universe, path)
+        assert not path.exists()
 
     def test_round_trip_reproduces_universe_exactly(self, tmp_path):
         cohort = generate_drifted_cohort(3, 16, [0.3, 0.7], {0.3: 0.0, 0.7: 1e-4}, seed=13)

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurstlab import (
@@ -13,7 +14,7 @@ from hurstlab import (
     HurstLabError,
     LogSeries,
     Method,
-    Observation,
+    ObservationPool,
     PriceSeries,
     QUINTILE_LABELS,
     ScanSpec,
@@ -27,7 +28,8 @@ from hurstlab import (
     report,
     scan,
 )
-from hurstlab.pipeline import as_pool, window_end_positions
+from hurstlab.estimators import is_suspect
+from hurstlab.pipeline import window_end_positions
 from hurstlab.reporting import observations_csv, render_method_table, report_csv
 
 
@@ -39,25 +41,34 @@ def _walk_universe(n_series, length, seed, scale=0.01):
     return universe
 
 
-def _obs(h, fwd=0.0, i=0, method=Method.GHE, window=128):
-    return Observation(
-        instrument_id=f"I{i:04d}",
-        window_end=window - 1 + 20 * i,
-        method=method,
-        h=float(h),
-        suspect=not (0.0 < h < 2.0),
-        forward_log_return=float(fwd),
-        forward_days=window,
+def _pool(hs, fwds=None, method=Method.GHE, window=128):
+    """One row per exponent, on instruments I0000, I0001, ... with ascending window ends."""
+    n = len(hs)
+    return ObservationPool(
+        window,
+        method,
+        np.array([f"I{i:04d}" for i in range(n)], dtype=object),
+        window - 1 + 20 * np.arange(n),
+        np.array(hs, dtype=np.float64),
+        np.zeros(n) if fwds is None else np.array(fwds, dtype=np.float64),
     )
 
 
-def _grid_observations(n=100, fwd_by_bucket=None, method=Method.GHE, window=128):
-    out = []
-    for i in range(n):
-        bucket = i * 5 // n
-        fwd = 0.0 if fwd_by_bucket is None else fwd_by_bucket[bucket]
-        out.append(_obs(h=i / n, fwd=fwd, i=i, method=method, window=window))
-    return out
+def _grid_pool(n=100, fwd_by_bucket=None):
+    fwds = None if fwd_by_bucket is None else [fwd_by_bucket[i * 5 // n] for i in range(n)]
+    return _pool([i / n for i in range(n)], fwds)
+
+
+def _halted_walk():
+    """A random walk with a halted (flat) stretch on days 121-220, a stretch whose
+    log prices alternate between two values, and a 5% jump into a second halt
+    on the second day of the last 32-day window."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    prices = np.exp(3.0 + np.cumsum(rng.normal(0.0, 0.01, 400)))
+    prices[120:220] = prices[120]
+    prices[260:336] = np.where(np.arange(76) % 2 == 0, 7.0, 8.0)
+    prices[337:] = 1.05 * prices[336]
+    return PriceSeries("X", np.arange(400), prices)
 
 
 class TestScanGeometry:
@@ -82,26 +93,25 @@ class TestScanGeometry:
     def test_exactly_one_observation_at_double_window_length(self):
         universe = _walk_universe(1, 64, seed=500)
         result = scan(universe, ScanSpec(window=32, methods=(Method.GHE, Method.GM2, Method.DFA)))
-        per_method = {m: [o for o in result.observations if o.method is m] for m in Method}
-        assert all(len(v) == 1 for v in per_method.values())
-        assert all(o.forward_days == 32 for o in result.observations)
+        assert all(len(result.pools[m]) == 1 for m in Method)
+        assert all(pool.window == 32 for pool in result.pools.values())
 
     def test_ninety_observations_per_method(self):
         universe = _walk_universe(1, 2048, seed=501)
         result = scan(universe, ScanSpec(window=128, roll_step=20, methods=(Method.GHE,)))
-        assert len(result.observations) == 90
+        assert len(result.pools[Method.GHE]) == 90
 
     def test_short_series_yields_zero_observations_one_diagnostic(self):
         universe = _walk_universe(1, 63, seed=502)
         result = scan(universe, ScanSpec(window=32))
-        assert result.observations == ()
+        assert all(len(pool) == 0 for pool in result.pools.values())
         assert len(result.diagnostics) == 1
         assert result.diagnostics[0].instrument_id == "W00"
 
     def test_estimator_failure_is_diagnostic_not_error(self):
         flat = PriceSeries("FLAT", np.arange(64), np.full(64, 5.0))
         result = scan([flat], ScanSpec(window=32, methods=(Method.GHE, Method.DFA, Method.GM2)))
-        assert result.observations == ()
+        assert all(len(pool) == 0 for pool in result.pools.values())
         assert len(result.diagnostics) == 3  # one per method at the single position
 
     def test_empty_universe(self):
@@ -115,20 +125,18 @@ class TestScanGeometry:
         assert err.value.instrument_id == "W00"
 
     def test_degenerate_rows_inside_a_batch_match_the_one_row_path(self):
-        # a random walk with a halted (flat) stretch, a stretch whose log
-        # prices alternate between two values, and a 5% jump into a second
-        # halt on the second day of the last window
-        rng = np.random.Generator(np.random.PCG64(7))
-        prices = np.exp(3.0 + np.cumsum(rng.normal(0.0, 0.01, 400)))
-        prices[120:220] = prices[120]
-        prices[260:336] = np.where(np.arange(76) % 2 == 0, 7.0, 8.0)
-        prices[337:] = 1.05 * prices[336]
-        values = np.log(prices)
+        series = _halted_walk()
+        values = np.log(series.prices)
         spec = ScanSpec(window=32, roll_step=4)
-        result = scan([PriceSeries("X", np.arange(400), prices)], spec)
-        observed = {(o.window_end, o.method): o for o in result.observations}
+        result = scan([series], spec)
+        observed = {
+            (end, method): (h, suspect)
+            for method, pool in result.pools.items()
+            for end, h, suspect in zip(pool.window_end.tolist(), pool.h.tolist(), pool.suspect.tolist())
+        }
         skipped = {(d.window_end, d.method): d.reason for d in result.diagnostics}
-        assert len(observed) == len(result.observations) and len(skipped) == len(result.diagnostics)
+        assert len(observed) == sum(map(len, result.pools.values()))
+        assert len(skipped) == len(result.diagnostics)
         flat = period_two = 0
         for t in window_end_positions(400, 32, 4):
             window = LogSeries("X", np.arange(t - 31, t + 1), values[t - 31 : t + 1])
@@ -136,19 +144,28 @@ class TestScanGeometry:
             # linear after its first point: only DFA's detrended profile vanishes
             is_flat_from_day_2 = t - 31 == 336
             is_period_two = t - 31 >= 260 and t < 336
+            # DFA detrends window[1:] block by block: at a scale where every
+            # block is constant the fluctuation is zero
+            signal = window.values[1:]
+            dfa_zero = any(
+                np.all(blocks == blocks[:, :1])
+                for m in spec.config_for(Method.DFA).scales()
+                for blocks in [signal[: len(signal) // m * m].reshape(-1, m)]
+            )
             flat += is_flat
             period_two += is_period_two
             for method in spec.methods:
+                predicted = is_flat or (method is Method.DFA and dfa_zero)
                 try:
                     alone = estimate(method, window, spec.config_for(method))
                 except HurstLabError as exc:
-                    assert is_flat or (is_flat_from_day_2 and method is Method.DFA)
+                    assert predicted
                     assert skipped[(t, method)] == str(exc)
                     assert (t, method) not in observed
                     continue
+                assert not predicted
                 assert (t, method) not in skipped
-                assert observed[(t, method)].h == alone.h
-                assert observed[(t, method)].suspect == alone.suspect
+                assert observed[(t, method)] == (alone.h, alone.suspect)
                 if is_period_two and method is Method.GHE:
                     assert alone.fit.n_points == 10  # only the odd lags 1..19 survive
             if is_flat:
@@ -156,6 +173,18 @@ class TestScanGeometry:
             if is_flat_from_day_2:
                 assert (t, Method.DFA) in skipped and (t, Method.GHE) in observed
         assert flat > 0 and period_two > 0
+
+    def test_dfa_window_with_a_halted_coarsest_block_is_skipped(self):
+        # in the windows starting on days 192, 196 and 200 (0-based) the halt
+        # (days 120-219) covers the one 16-day block of window[1:] but not its
+        # last 4-day block; that 16-day block must detrend to exactly 0, not to
+        # ~1e-17 and an exponent near -23
+        result = scan([_halted_walk()], ScanSpec(window=32, roll_step=4, methods=(Method.DFA,)))
+        ends = {d.window_end: d.reason for d in result.diagnostics}
+        for start in (192, 196, 200):
+            assert ends[start + 31] == "dfa: zero fluctuation at some scale (block-wise linear input)"
+        assert len(ends) == 22
+        assert result.pools[Method.DFA].h.min() > -2.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -174,59 +203,49 @@ class TestScanGeometry:
         universe = _walk_universe(1, 96, seed=503)
         values = np.log(universe[0].prices)
         result = scan(universe, ScanSpec(window=32, roll_step=20, methods=(Method.GM2,)))
-        for obs in result.observations:
-            t = obs.window_end
-            assert obs.forward_log_return == pytest.approx(values[t + 32] - values[t], abs=1e-15)
+        pool = result.pools[Method.GM2]
+        for t, forward in zip(pool.window_end.tolist(), pool.forward_log_return.tolist()):
+            assert forward == pytest.approx(values[t + 32] - values[t], abs=1e-15)
 
 
 class TestBucketize:
     def test_quintiles_split_uniform_grid_evenly(self):
-        obs = _grid_observations(100)
-        labels = bucketize(obs, "quintile")
-        counts = {lbl: 0 for lbl in QUINTILE_LABELS}
-        for o in obs:
-            counts[labels[o]] += 1
+        indices = bucketize(_grid_pool(100), "quintile")
+        counts = {lbl: int((indices == i).sum()) for i, lbl in enumerate(QUINTILE_LABELS)}
         assert counts == {lbl: 20 for lbl in QUINTILE_LABELS}
 
     def test_quintile_membership_respects_order(self):
-        obs = _grid_observations(100)
-        labels = bucketize(obs, "quintile")
-        rank = {lbl: i for i, lbl in enumerate(QUINTILE_LABELS)}
-        ordered = sorted(obs, key=lambda o: o.h)
-        ranks = [rank[labels[o]] for o in ordered]
+        pool = _grid_pool(100)
+        indices = bucketize(pool, "quintile")
+        ranks = indices[np.argsort(pool.h, kind="stable")].tolist()
         assert ranks == sorted(ranks)
 
     def test_tail_scheme_isolates_top_five_percent(self):
-        obs = _grid_observations(100)
-        labels = bucketize(obs, "tail")
-        top = sorted(o.h for o, lbl in labels.items() if lbl == TAIL_LABELS[1])
-        mid = sorted(o.h for o, lbl in labels.items() if lbl == TAIL_LABELS[0])
+        pool = _grid_pool(100)
+        indices = bucketize(pool, "tail")
+        top = sorted(pool.h[indices == TAIL_LABELS.index("p>95")].tolist())
+        mid = sorted(pool.h[indices == TAIL_LABELS.index("p90–95")].tolist())
         assert top == [0.95, 0.96, 0.97, 0.98, 0.99]
         assert mid == [0.90, 0.91, 0.92, 0.93, 0.94]
-        assert len(labels) == 10  # observations below p90 stay unlabeled
+        assert (indices >= 0).sum() == 10  # observations below p90 stay unbucketed (-1)
+        assert set(indices.tolist()) == {-1, 0, 1}
 
     def test_identical_h_all_land_in_top_bucket(self):
-        obs = [_obs(h=0.5, i=i) for i in range(25)]
-        labels = bucketize(obs, "quintile")
-        assert set(labels.values()) == {QUINTILE_LABELS[-1]}
-        rep = report(obs, 128, Method.GHE)
+        pool = _pool([0.5] * 25)
+        assert set(bucketize(pool, "quintile").tolist()) == {QUINTILE_LABELS.index("very high")}
+        rep = report(pool)
         assert rep.degenerate
         assert rep.rows[-1].count == 25
 
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
-            bucketize([_obs(0.5, i=i) for i in range(19)], "quintile")
+            bucketize(_pool([0.5] * 19), "quintile")
         with pytest.raises(TooFewObservations):
-            bucketize([_obs(0.5, i=i) for i in range(39)], "tail")
-
-    def test_mixed_pool_rejected(self):
-        obs = [_obs(0.5, i=0, method=Method.GHE), _obs(0.5, i=1, method=Method.GM2)]
-        with pytest.raises(ValueError):
-            bucketize(obs * 15, "quintile")
+            bucketize(_pool([0.5] * 39), "tail")
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            bucketize([_obs(0.5)], "decile")
+            bucketize(_pool([0.5]), "decile")
 
 
 class TestAnnualize:
@@ -247,20 +266,19 @@ class TestAnnualize:
 
 class TestReport:
     def test_zero_returns_give_zero_rows(self):
-        rep = report(_grid_observations(100), 128, Method.GHE)
+        rep = report(_grid_pool(100))
         assert all(row.annualized_return == 0.0 for row in rep.rows)
         assert rep.benchmark_row.annualized_return == 0.0
         assert rep.benchmark_row.label == ANY_LABEL
 
     def test_counts_partition_into_any(self):
-        rep = report(_grid_observations(100), 128, Method.GHE)
+        rep = report(_grid_pool(100))
         assert sum(row.count for row in rep.rows) == rep.benchmark_row.count == 100
         assert not rep.degenerate
 
     def test_benchmark_matches_weighted_bucket_means(self):
         fwd_by_bucket = [0.00, 0.01, 0.02, 0.03, 0.05]
-        obs = _grid_observations(100, fwd_by_bucket)
-        rep = report(obs, 128, Method.GHE)
+        rep = report(_grid_pool(100, fwd_by_bucket))
         # invert annualization back to mean log returns, then weight by counts
         inverted = [
             math.log(1.0 + row.annualized_return / 100.0) * 128.0 / 252.0 for row in rep.rows
@@ -271,21 +289,15 @@ class TestReport:
 
     def test_rows_follow_bucket_means(self):
         fwd_by_bucket = [0.00, 0.01, 0.02, 0.03, 0.05]
-        rep = report(_grid_observations(100, fwd_by_bucket), 128, Method.GHE)
+        rep = report(_grid_pool(100, fwd_by_bucket))
         expected = [annualize(f, 128) for f in fwd_by_bucket]
         assert [row.annualized_return for row in rep.rows] == pytest.approx(expected, rel=1e-12)
 
     def test_tail_report_shape(self):
-        rep = report(_grid_observations(100), 128, Method.GHE, scheme="tail")
+        rep = report(_grid_pool(100), scheme="tail")
         assert [row.label for row in rep.rows] == list(TAIL_LABELS)
         assert [row.count for row in rep.rows] == [5, 5]
         assert rep.benchmark_row.count == 100
-
-    def test_group_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            report(_grid_observations(25), 64, Method.GHE)
-        with pytest.raises(ValueError):
-            report(_grid_observations(25), 128, Method.DFA)
 
 
 class TestDeterminismAndInvariance:
@@ -294,11 +306,9 @@ class TestDeterminismAndInvariance:
         spec = ScanSpec(window=64, roll_step=20, methods=(Method.GHE, Method.GM2))
         forward = scan(universe, spec)
         backward = scan(list(reversed(universe)), spec)
-        assert forward.observations == backward.observations
+        assert forward.pools == backward.pools
         for method in spec.methods:
-            a = report(forward.for_group(64, method), 64, method)
-            b = report(backward.for_group(64, method), 64, method)
-            assert a == b
+            assert report(forward.pools[method]) == report(backward.pools[method])
 
     def test_rescaled_prices_leave_reports_stable(self):
         universe = _walk_universe(6, 224, seed=601)
@@ -308,14 +318,16 @@ class TestDeterminismAndInvariance:
         spec = ScanSpec(window=64, roll_step=20, methods=(Method.GHE, Method.DFA, Method.GM2))
         base = scan(universe, spec)
         scaled = scan(doubled, spec)
-        for a, b in zip(base.observations, scaled.observations):
+        for method in spec.methods:
+            a, b = base.pools[method], scaled.pools[method]
+            assert np.array_equal(a.window_end, b.window_end)
             assert b.forward_log_return == pytest.approx(a.forward_log_return, abs=1e-12)
-            tol = 1e-9 if a.method is Method.GHE else 1e-12
+            tol = 1e-9 if method is Method.GHE else 1e-12
             assert b.h == pytest.approx(a.h, abs=tol)
         for method in (Method.DFA, Method.GM2):
-            a = render_method_table([report(base.for_group(64, method), 64, method)])
-            b = render_method_table([report(scaled.for_group(64, method), 64, method)])
-            assert a == b
+            assert render_method_table([report(base.pools[method])]) == render_method_table(
+                [report(scaled.pools[method])]
+            )
 
     def test_scan_is_deterministic(self):
         universe = _walk_universe(3, 224, seed=602)
@@ -378,13 +390,13 @@ def _random_walks(seed, n_series, length):
     ]
 
 
-def _pool_texts(result, window):
+def _pool_texts(result):
     texts = {}
     for method, pool in result.pools.items():
         texts[method] = [observations_csv(pool)]
         for scheme in ("quintile", "tail"):
             try:
-                rep = report(pool, window, method, scheme=scheme)
+                rep = report(pool, scheme=scheme)
             except TooFewObservations as exc:
                 texts[method].append(str(exc))
                 continue
@@ -405,7 +417,7 @@ class TestPoolProperties:
         universe = _random_walks(seed, n_series, length)
         permuted = data.draw(st.permutations(universe))
         spec = ScanSpec(window=32, roll_step=roll)
-        assert _pool_texts(scan(universe, spec), 32) == _pool_texts(scan(permuted, spec), 32)
+        assert _pool_texts(scan(universe, spec)) == _pool_texts(scan(permuted, spec))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -424,26 +436,26 @@ class TestPoolProperties:
             assert np.array_equal(a.instrument_id, b.instrument_id) and np.array_equal(a.window_end, b.window_end)
             assert np.max(np.abs(a.h - b.h), initial=0.0) <= 1e-9
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_series=st.integers(1, 5),
-        length=st.integers(40, 300),
-        roll=st.integers(1, 30),
-        halt=st.integers(0, 200),
-    )
-    def test_pool_from_the_observation_view_equals_the_scanned_pool(self, seed, n_series, length, roll, halt):
-        universe = _random_walks(seed, n_series, length)
-        prices = universe[0].prices.copy()
-        prices[halt : halt + 80] = prices[min(halt, length - 1)]
-        universe[0] = PriceSeries("P0", np.arange(length), prices)
-        result = scan(universe, ScanSpec(window=32, roll_step=roll))
-        for method, pool in result.pools.items():
-            view = [o for o in result.observations if o.method is method]
-            for rebuilt in (as_pool(view), as_pool(reversed(view))):
-                assert rebuilt == pool
-                if view:
-                    assert (rebuilt.window, rebuilt.method) == (pool.window, pool.method)
-                for column in ("instrument_id", "window_end", "h", "suspect", "forward_log_return"):
-                    assert np.array_equal(getattr(rebuilt, column), getattr(pool, column)), column
-            assert result.for_group(32, method) == pool.observations() == tuple(view)
+    # is_suspect's band edges and the values either side of them
+    H_EDGES = [
+        0.0, -0.0, 2.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(2.0, 0.0)), -0.3, -23.7, 2.5, 1e300,
+    ]
+
+    @settings(max_examples=50, deadline=None)
+    @example(hs=H_EDGES)
+    @given(hs=st.lists(st.one_of(st.sampled_from(H_EDGES), st.floats()), max_size=20))
+    def test_suspect_is_is_suspect_row_by_row(self, hs):
+        assert _pool(hs).suspect.tolist() == [is_suspect(h) for h in hs]
+
+    def test_pools_compare_column_by_column(self):
+        pool = _pool(self.H_EDGES, fwds=np.linspace(-0.1, 0.1, len(self.H_EDGES)))
+        assert pool == _pool(self.H_EDGES, fwds=np.linspace(-0.1, 0.1, len(self.H_EDGES)))
+        for i in range(len(pool)):
+            h = pool.h.copy()
+            h[i] = np.nextafter(h[i], np.inf)
+            assert replace(pool, h=h) != pool
+        forward = pool.forward_log_return.copy()
+        forward[3] = np.nextafter(forward[3], np.inf)
+        assert replace(pool, forward_log_return=forward) != pool
+        assert replace(pool, window=64) != pool and replace(pool, method=Method.DFA) != pool
+        assert pool.select(np.arange(len(pool)) != 4) != pool

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hurstlab import Method, Observation, report
+from hurstlab import Method, ObservationPool, PriceSeries, ScanSpec, report, scan
 from hurstlab.reporting import (
     OBSERVATION_COLUMNS,
     observations_csv,
@@ -25,54 +27,48 @@ EXEMPLAR_TABLE = {
 }
 
 
-def exemplar_observations(window):
+def exemplar_pool(window):
     """100 observations whose bucket means annualize to the exemplar values."""
     pcts = EXEMPLAR_TABLE[window]
-    out = []
-    for i in range(100):
-        pct = pcts[i // 20]
-        out.append(
-            Observation(
-                instrument_id=f"F{i:03d}",
-                window_end=window - 1 + 20 * i,
-                method=Method.GHE,
-                h=i / 100.0,
-                suspect=False,
-                forward_log_return=math.log(1.0 + pct / 100.0) * window / 252.0,
-                forward_days=window,
-            )
-        )
-    return out
+    return ObservationPool(
+        window,
+        Method.GHE,
+        np.array([f"F{i:03d}" for i in range(100)], dtype=object),
+        window - 1 + 20 * np.arange(100),
+        np.arange(100) / 100.0,
+        np.array([math.log(1.0 + pcts[i // 20] / 100.0) * window / 252.0 for i in range(100)]),
+    )
 
 
-def _obs(instrument="A", window_end=127, h=0.5, suspect=False, fwd=0.01, method=Method.GHE):
-    return Observation(instrument, window_end, method, h, suspect, fwd, 128)
+def _pool(rows):
+    """A 128-day GHE pool of (instrument, window end, h, forward log return) rows."""
+    ids, ends, hs, fwds = zip(*rows)
+    ids = np.array(ids, dtype=object)
+    return ObservationPool(128, Method.GHE, ids, np.array(ends), np.array(hs), np.array(fwds))
 
 
 class TestObservationCsv:
     def test_exact_format_and_significant_digits(self):
-        rows = [
-            _obs("ACME", 127, h=0.123456789123, fwd=-0.00123456789123),
-            _obs("ACME", 147, h=2.5, suspect=True, fwd=0.25),
-        ]
-        text = observations_csv(rows)
+        pool = _pool([("ACME", 127, 0.123456789123, -0.00123456789123), ("ACME", 147, 2.5, 0.25)])
+        text = observations_csv(pool)
         assert text.splitlines()[0] == ",".join(OBSERVATION_COLUMNS)
         assert text.splitlines()[1] == "ACME,127,GHE,0.123456789,false,-0.00123456789"
         assert text.splitlines()[2] == "ACME,147,GHE,2.5,true,0.25"
+        assert observations_csv(pool.select([False, False])) == text.splitlines(keepends=True)[0]
 
     def test_canonical_row_order(self):
-        rows = [_obs("B", 147), _obs("A", 147), _obs("A", 127)]
-        lines = observations_csv(rows).splitlines()[1:]
-        assert [ln.split(",")[0:2] for ln in lines] == [
-            ["A", "127"],
-            ["A", "147"],
-            ["B", "147"],
-        ]
+        # instruments given out of id order; scan pools their rows by id, then window end
+        walk = np.exp(np.cumsum(np.tile([0.01, -0.02, 0.015], 50)))
+        universe = [PriceSeries(name, np.arange(150), walk) for name in ("B", "A")]
+        pool = scan(universe, ScanSpec(window=32, roll_step=20, methods=(Method.GM2,))).pools[Method.GM2]
+        lines = observations_csv(pool).splitlines()[1:]
+        expected = [[name, str(t)] for name in "AB" for t in (31, 51, 71, 91, 111)]
+        assert [ln.split(",")[0:2] for ln in lines] == expected
 
 
 class TestReportRendering:
     def test_single_window_table_has_six_labeled_rows(self):
-        rep = report(exemplar_observations(128), 128, Method.GHE)
+        rep = report(exemplar_pool(128))
         text = render_method_table([rep])
         lines = text.splitlines()
         assert len(lines) == 8  # title + header + 6 labeled rows
@@ -82,7 +78,7 @@ class TestReportRendering:
 
     def test_multi_window_golden_bytes(self):
         reports = [
-            report(exemplar_observations(w), w, Method.GHE) for w in sorted(EXEMPLAR_TABLE)
+            report(exemplar_pool(w)) for w in sorted(EXEMPLAR_TABLE)
         ]
         text = render_method_table(reports)
         golden = (FIXTURES / "quintile_table_golden.txt").read_text(encoding="utf-8")
@@ -91,23 +87,18 @@ class TestReportRendering:
         assert "16.98%" in text and "13.24%" in text
 
     def test_empty_bucket_renders_na(self):
-        obs = [_obs("A", 127 + 20 * i, h=0.5, fwd=0.0) for i in range(25)]
-        text = render_method_table([report(obs, 128, Method.GHE)])
+        pool = _pool([("A", 127 + 20 * i, 0.5, 0.0) for i in range(25)])
+        text = render_method_table([report(pool)])
         assert "n/a" in text
 
     def test_mixed_methods_rejected(self):
-        a = report(exemplar_observations(128), 128, Method.GHE)
-        obs = [
-            Observation(o.instrument_id, o.window_end, Method.GM2, o.h, o.suspect,
-                        o.forward_log_return, o.forward_days)
-            for o in exemplar_observations(128)
-        ]
-        b = report(obs, 128, Method.GM2)
+        a = report(exemplar_pool(128))
+        b = report(replace(exemplar_pool(128), method=Method.GM2))
         with pytest.raises(ValueError):
             render_method_table([a, b])
 
     def test_report_csv_shape(self):
-        rep = report(exemplar_observations(128), 128, Method.GHE)
+        rep = report(exemplar_pool(128))
         lines = report_csv(rep).splitlines()
         assert lines[0] == "bucket,count,annualized_return_pct"
         assert len(lines) == 7
