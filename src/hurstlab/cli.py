@@ -124,6 +124,8 @@ def _cohort_from_args(args: argparse.Namespace):
     h_values, drifts = args.h_values, args.drifts
     if len(drifts) != len(h_values):
         raise HurstLabError("--drifts must list one value per --h-values entry")
+    if len(set(h_values)) != len(h_values):
+        raise HurstLabError("each --h-values entry may appear only once")
     drift_per_h = dict(zip(h_values, drifts))
     return generate_drifted_cohort(
         args.n, args.length, h_values, drift_per_h, seed=args.seed, scale=args.fbm_scale

@@ -33,6 +33,7 @@ values outside (0, 2) are flagged suspect but still returned.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,8 +170,9 @@ def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.
     taus = np.arange(1, tau_max + 1)
     sums = np.empty((*v.shape[:-1], tau_max))
     for i, t in enumerate(taus.tolist()):
-        increments = v[..., t:] - v[..., :-t]
-        sums[..., i] = (np.abs(increments, out=increments) ** q).sum(axis=-1)
+        moments = v[..., t:] - v[..., :-t]
+        np.abs(moments, out=moments)
+        sums[..., i] = (moments if q == 1.0 else moments**q).sum(axis=-1)
     return taus, sums / (n - taus)
 
 
@@ -186,15 +188,25 @@ def _detrended_fluctuations(signal: np.ndarray, scales, q: float) -> np.ndarray:
     for i, m in enumerate(scales):
         blocks = _blocks(signal, m)
         resid = blocks - blocks[..., :1]
-        t = np.arange(m, dtype=np.float64)
-        dt = t - t.mean()
-        ones = np.ones(m)
-        slopes = (resid @ dt) / float(dt @ dt)
+        dt, dt_norm, ones = _block_ramp(m)
+        slopes = (resid @ dt) / dt_norm
         resid -= (resid @ ones / m)[..., None]
         resid -= slopes[..., None] * dt
-        block_power = ((resid * resid) @ ones / m) ** (q / 2.0)
+        block_power = np.square(resid, out=resid) @ ones / m
+        if q != 2.0:
+            block_power **= q / 2.0
         fluct[:, i] = (block_power.sum(axis=-1) / block_power.shape[-1]) ** (1.0 / q)
     return fluct
+
+
+@functools.lru_cache(maxsize=32)
+def _block_ramp(m: int):
+    """Centered ramp over a block of m points, its squared norm and ones, as read-only arrays."""
+    dt = np.arange(m, dtype=np.float64)
+    dt -= dt.mean()
+    ones = np.ones(m)
+    dt.flags.writeable = ones.flags.writeable = False
+    return dt, float(dt @ dt), ones
 
 
 def _mean_block_ranges(values: np.ndarray, scales) -> np.ndarray:

@@ -14,7 +14,9 @@ H = 0.999 and 262,144 points the min/max ratio is about -1.2e-8).  The
 generator then falls back to the sequential conditional-Gaussian
 recursion (Hosking / Durbin-Levinson), which is exact for any valid
 covariance but quadratic in the path length.  The test suite also uses
-the recursion as an independent cross-check of the FFT route.
+the recursion as an independent cross-check of the FFT route.  The
+eigenvalues depend only on (length, H, scale): the 16 most recently used
+spectra are kept, so each further path costs its draws and one FFT.
 
 Randomness comes from numpy's PCG64 generator seeded with the spec's
 64-bit seed, so identical specs yield bit-identical paths.
@@ -22,6 +24,7 @@ Randomness comes from numpy's PCG64 generator seeded with the spec's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +67,9 @@ def fgn_autocovariance(h: float, lags, scale: float = 1.0) -> np.ndarray:
     return 0.5 * scale * scale * ((k + 1.0) ** two_h - 2.0 * k ** two_h + np.abs(k - 1.0) ** two_h)
 
 
-def _fgn_circulant(n: int, h: float, scale: float, rng: np.random.Generator) -> np.ndarray | None:
-    """n fGn samples via circulant embedding, or None if the embedding fails."""
+@functools.lru_cache(maxsize=16)
+def _circulant_roots(n: int, h: float, scale: float):
+    """Square roots of the scaled circulant eigenvalues (ends, middle), or None if the embedding fails."""
     gamma = fgn_autocovariance(h, np.arange(n + 1), scale)
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant first row, length 2n
     eig = np.fft.fft(row).real
@@ -73,12 +77,24 @@ def _fgn_circulant(n: int, h: float, scale: float, rng: np.random.Generator) -> 
         return None
     eig = np.clip(eig, 0.0, None)
     m = 2 * n
-    w = np.empty(m, dtype=np.complex128)
-    w[0] = np.sqrt(eig[0] / m) * rng.standard_normal()
-    w[n] = np.sqrt(eig[n] / m) * rng.standard_normal()
+    roots = np.sqrt(eig[[0, n]] / m), np.sqrt(eig[1:n] / (2.0 * m))
+    for r in roots:
+        r.flags.writeable = False
+    return roots
+
+
+def _fgn_circulant(n: int, h: float, scale: float, rng: np.random.Generator) -> np.ndarray | None:
+    """n fGn samples via circulant embedding, or None if the embedding fails."""
+    roots = _circulant_roots(n, h, scale)
+    if roots is None:
+        return None
+    ends, middle = roots
+    w = np.empty(2 * n, dtype=np.complex128)
+    w[0] = ends[0] * rng.standard_normal()
+    w[n] = ends[1] * rng.standard_normal()
     re = rng.standard_normal(n - 1)
     im = rng.standard_normal(n - 1)
-    w[1:n] = np.sqrt(eig[1:n] / (2.0 * m)) * (re + 1j * im)
+    w[1:n] = middle * (re + 1j * im)
     w[n + 1 :] = np.conj(w[1:n][::-1])
     return np.fft.fft(w)[:n].real
 

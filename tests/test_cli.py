@@ -176,6 +176,15 @@ class TestRun:
                 assert pct["very high"] > pct["very low"], (method, window, pct)
 
 
+    def test_repeated_h_value_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = _run(["run", "--synthetic-cohort", "--n", "4", "--len", "64", "--h-values", "0.5,0.5",
+                     "--drifts", "0,0.01", "--windows", "32", "--out", out])
+        assert code == 1
+        assert "error: each --h-values entry may appear only once" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_writes_ingestible_cohort(self, tmp_path):
         path = tmp_path / "cohort.csv"
@@ -202,3 +211,12 @@ class TestSynth:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_h_value_rejected(self, tmp_path, capsys):
+        # a repeated H would silently give every series of that H the last drift
+        path = tmp_path / "c.csv"
+        code = _run(["synth", "--n", "4", "--len", "16", "--h-values", "0.5,0.5", "--drifts", "0,0.01",
+                     "--out", path])
+        assert code == 1
+        assert "error: each --h-values entry may appear only once" in capsys.readouterr().err
+        assert not path.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hurstlab import (
     ghe,
     gm2,
 )
-from hurstlab.estimators import HEstimate, _blocks, _lag_moments, estimate_rows
+from hurstlab.estimators import HEstimate, _block_ramp, _blocks, _lag_moments, estimate_rows
 
 
 def _series(values, name="X"):
@@ -86,12 +87,13 @@ class TestGhe:
         with pytest.raises(SeriesTooShort):
             ghe(_series(np.arange(10.0)), EstimatorConfig(tau_max=19))
 
-    def test_oracle_recomputation(self):
+    @pytest.mark.parametrize("q", [1.0, 2.0, 0.5])
+    def test_oracle_recomputation(self, q):
         # independent plain-loop recomputation of the lag statistic
         v = generate_fbm(FbmSpec(h=0.6, length=128, seed=3)).values
-        taus, stat = _lag_moments(v, 1.0, 10)
+        taus, stat = _lag_moments(v, q, 10)
         for tau, s in zip(taus, stat):
-            pairs = [abs(v[t + tau] - v[t]) for t in range(len(v) - tau)]
+            pairs = [abs(v[t + tau] - v[t]) ** q for t in range(len(v) - tau)]
             assert s == pytest.approx(sum(pairs) / len(pairs), rel=1e-12)
 
 
@@ -116,10 +118,11 @@ class TestDfa:
             vals.append(dfa(_series(walk)).h)
         assert 0.45 <= np.mean(vals) <= 0.58
 
-    def test_fluctuation_oracle_polyfit(self):
+    @pytest.mark.parametrize("q", [2.0, 1.0, 3.0])
+    def test_fluctuation_oracle_polyfit(self, q):
         # recompute fluctuations per block with numpy.polyfit as an independent route
         x = generate_fbm(FbmSpec(h=0.5, length=256, seed=11))
-        cfg = default_config(Method.DFA, 256)
+        cfg = replace(default_config(Method.DFA, 256), q=q)
         est = dfa(x, cfg)
         increments = np.diff(x.values)
         signal = np.cumsum(increments - increments.mean())
@@ -135,6 +138,13 @@ class TestDfa:
             expected.append(np.mean(powers) ** (1.0 / cfg.q))
         slope = np.polyfit(np.log(cfg.scales()), np.log(expected), 1)[0]
         assert est.h == pytest.approx(slope, abs=1e-9)
+
+    def test_cached_block_ramp_is_read_only(self):
+        dt, dt_norm, ones = _block_ramp(16)
+        assert dt_norm == float(dt @ dt) and dt.sum() == 0.0 and ones.sum() == 16.0
+        for array in (dt, ones):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     def test_raw_mode_close_to_profile_mode(self):
         x = generate_fbm(FbmSpec(h=0.6, length=512, seed=21))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hurstlab import FbmSpec, InvalidH, fgn_autocovariance, generate_drifted_cohort, generate_fbm
-from hurstlab.synthetic import _fgn_circulant, _fgn_hosking
+from hurstlab.synthetic import _circulant_roots, _fgn_circulant, _fgn_hosking
 
 DRIFTS = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
 
@@ -128,6 +128,51 @@ class TestGenerateFbm:
         z = (pooled - pooled.mean()) / pooled.std()
         assert abs(np.mean(z ** 3)) <= 0.2
         assert abs(np.mean(z ** 4) - 3.0) <= 0.5
+
+
+def _uncached_path(spec: FbmSpec) -> np.ndarray:
+    """The circulant-embedding path with its spectrum computed inline, bypassing the cache."""
+    n = spec.length - 1
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    gamma = fgn_autocovariance(spec.h, np.arange(n + 1), spec.scale)
+    eig = np.clip(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None)
+    m = 2 * n
+    w = np.empty(m, dtype=np.complex128)
+    w[0] = np.sqrt(eig[0] / m) * rng.standard_normal()
+    w[n] = np.sqrt(eig[n] / m) * rng.standard_normal()
+    re = rng.standard_normal(n - 1)
+    im = rng.standard_normal(n - 1)
+    w[1:n] = np.sqrt(eig[1:n] / (2.0 * m)) * (re + 1j * im)
+    w[n + 1 :] = np.conj(w[1:n][::-1])
+    return np.concatenate([[0.0], np.cumsum(np.fft.fft(w)[:n].real)])
+
+
+class TestSpectrumCache:
+    @pytest.mark.parametrize(
+        "length,h,scale", [(64, 0.3, 1.0), (300, 0.5, 0.005), (513, 0.7, 2.5), (1000, 0.9, 1.0)]
+    )
+    def test_cold_warm_and_uncached_paths_are_equal(self, length, h, scale):
+        spec = FbmSpec(h=h, length=length, seed=2024, scale=scale)
+        _circulant_roots.cache_clear()
+        cold = generate_fbm(spec).values
+        warm = generate_fbm(spec).values
+        assert _circulant_roots.cache_info().hits == 1
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, _uncached_path(spec))
+
+    def test_cached_spectrum_is_read_only(self):
+        for array in _circulant_roots(63, 0.5, 1.0):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_failed_embedding_is_cached_and_still_falls_back(self):
+        _circulant_roots.cache_clear()
+        rng = np.random.Generator(np.random.PCG64(0))
+        state = rng.bit_generator.state
+        for _ in range(2):
+            assert _fgn_circulant(262143, 0.999, 1.0, rng) is None
+        assert _circulant_roots.cache_info().hits == 1
+        assert rng.bit_generator.state == state  # nothing drawn before the recursion runs
 
 
 class TestDriftedCohort:
