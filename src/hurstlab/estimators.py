@@ -37,6 +37,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateRegression, SeriesTooShort
 from .series import LogSeries, RegressionFit, RowFits, fit_rows
@@ -161,19 +162,42 @@ def _blocks(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lags 1..tau_max and the mean |X(t+tau)-X(t)|**q over overlapping increments.
+    """Lags 1..tau_max and each row's mean |X(t+tau)-X(t)|**q over overlapping increments.
 
     Works along the last axis: ``v`` of shape ``(..., n)`` with
-    ``n > tau_max`` gives a ``(..., tau_max)`` statistic.
+    ``n > tau_max`` gives a ``(..., tau_max)`` statistic.  Rows that start
+    ``step`` points apart on one stretch of a series, ``0 < step <= n``
+    (overlapping windows, or a C-contiguous matrix), share that stretch:
+    each lag's |increments| are computed once over it, so the temporary
+    holds about one stretch, and each row sums its own through a strided
+    view.  Other layouts are first copied into a C-contiguous matrix.  A
+    row's sum runs over the same values in the same order whatever the
+    layout, so its statistic is bit-identical to that row's alone.
     """
-    n = v.shape[-1]
+    *lead, n = v.shape
+    v = v.reshape(-1, n)
+    rows, item = len(v), v.itemsize
+    step = v.strides[0] // item if rows > 1 else n
+    if v.strides[1] != item or v.strides[0] % item or not 0 < step <= n:
+        v, step = np.ascontiguousarray(v), n
+    # one row takes no strided view; zero rows span zero points
+    stretch = v[0] if rows == 1 else as_strided(v, ((rows - 1) * step + n,), (item,))
+    increments = np.empty(len(stretch))
+    if rows == 1:
+        per_row = increments[None]
+    else:
+        per_row = np.ndarray((rows, n - 1), buffer=increments, strides=(step * item, item))
     taus = np.arange(1, tau_max + 1)
-    sums = np.empty((*v.shape[:-1], tau_max))
+    sums = np.empty((rows, tau_max))
+    # positional outputs and a reduce straight into sums keep one row as cheap as a plain difference
     for i, t in enumerate(taus.tolist()):
-        moments = v[..., t:] - v[..., :-t]
-        np.abs(moments, out=moments)
-        sums[..., i] = (moments if q == 1.0 else moments**q).sum(axis=-1)
-    return taus, sums / (n - taus)
+        moments = increments[: len(stretch) - t]
+        np.subtract(stretch[t:], stretch[:-t], moments)
+        np.abs(moments, moments)
+        if q != 1.0:
+            moments **= q
+        np.add.reduce(per_row[:, : n - t], axis=-1, out=sums[:, i])
+    return taus, (sums / (n - taus)).reshape(*lead, tau_max)
 
 
 def _detrended_fluctuations(signal: np.ndarray, scales, q: float) -> np.ndarray:
@@ -239,6 +263,7 @@ def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig, dfa_mo
         # lags whose statistic is exactly zero carry no scaling information
         return taus, stat, stat > 0.0
     scales = cfg.scales()
+    windows = np.ascontiguousarray(windows)
     if method is Method.GM2:
         _check_scales(cfg, windows.shape[1], "gm2")
         return np.array(scales), _mean_block_ranges(windows, scales), None
@@ -272,13 +297,20 @@ def estimate_rows(
     Returns ``(h, fits)``.  A row whose statistic or fit is degenerate
     holds NaN in ``h`` and its error in ``fits.errors``, with the message
     the one-row estimator raises; a length too short for ``cfg`` raises
-    for the whole matrix.  Rows are computed independently of each other.
+    for the whole matrix.  ``windows`` may be any 2-D float array: a
+    C-contiguous matrix, or a view whose rows are overlapping windows of
+    one series, such as ``sliding_window_view(x, n)[::step]``.  GHE reads
+    such a view in place and computes each lag's increments once for all
+    its rows; DFA and GM2 copy it into one C-contiguous matrix.  Rows are
+    computed independently of each other.
     """
     if not isinstance(method, Method):
         raise ValueError(f"unknown method {method!r}")
     if method is Method.DFA and dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
         raise ValueError(f"unknown dfa mode {dfa_mode!r}")
-    windows = np.ascontiguousarray(windows, dtype=np.float64)
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 2:
+        raise ValueError(f"windows must be a 2-D (rows, length) matrix, got shape {windows.shape}")
     if cfg is None:
         cfg = default_config(method, windows.shape[1], dfa_mode=dfa_mode)
         if method is Method.GHE:

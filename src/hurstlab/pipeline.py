@@ -147,7 +147,7 @@ def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
 def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     """Run the rolling protocol over every instrument in the universe.
 
-    Each instrument's windows form one ``(n_windows, window)`` matrix of
+    Each instrument's windows are one ``(n_windows, window)`` view of its
     log prices, and every method estimates all of its rows in one call;
     the rows it keeps extend that method's pool.  Instruments are taken in
     id order and window ends ascend, so each pool is in canonical order
@@ -182,7 +182,7 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
             )
             continue
         ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
-        windows = sliding_window_view(values, spec.window)[ends - spec.window + 1]
+        windows = sliding_window_view(values, spec.window)[:: spec.roll_step][: len(ends)]
         forwards = values[ends + spec.window] - values[ends]
         window_ends = log.dates[ends]
         failed = []

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,3 +276,60 @@ class TestRowIndependence:
                 j = order.index(i)
                 assert h[i] == alone.h and fits.row(i) == alone.fit
                 assert permuted_h[j] == alone.h and permuted_fits.row(j) == alone.fit
+
+
+def _layouts(rng, window, rows, roll, start):
+    """Windows of one random walk laid out in memory every way a caller might pass them."""
+    walk = np.cumsum(rng.standard_normal(start + (rows - 1) * roll + 2 * window))
+    overlapping = sliding_window_view(walk, window)[start::roll][:rows]
+    return walk, {
+        "overlapping": overlapping,
+        "broadcast": np.broadcast_to(overlapping[0], (rows, window)),
+        "reversed rows": overlapping[::-1],
+        "reversed columns": overlapping[:, ::-1],
+        "fortran": np.asfortranarray(overlapping),
+        "inner stride 2": sliding_window_view(walk, 2 * window - 1)[start::roll, ::2][:rows],
+    }
+
+
+class TestRowLayouts:
+    CONFIGS = [(Method.GHE, q) for q in (1.0, 2.0, 0.5)] + [(Method.DFA, 2.0), (Method.GM2, 1.0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        window=st.integers(32, 96),
+        rows=st.integers(1, 8),
+        start=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_each_row_of_any_layout_equals_that_row_alone(self, window, rows, start, seed, data):
+        roll = data.draw(st.integers(1, window + 7), label="roll")
+        walk, layouts = _layouts(np.random.Generator(np.random.PCG64(seed)), window, rows, roll, start)
+        walk_before = walk.copy()
+        alone = {}
+        for name, matrix in layouts.items():
+            before = np.array(matrix)
+            for method, q in self.CONFIGS:
+                cfg = replace(default_config(method, window), q=q)
+                h, fits = estimate_rows(method, matrix, cfg)
+                for i, row in enumerate(matrix):
+                    key = (method, q, row.tobytes())
+                    if key not in alone:
+                        alone[key] = estimate(method, _series(row), cfg)
+                    assert h[i] == alone[key].h and fits.row(i) == alone[key].fit, (name, method, q, i)
+            assert np.array_equal(matrix, before), name
+        assert np.array_equal(walk, walk_before)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_dimensional_input_names_its_shape(self, method):
+        with pytest.raises(ValueError, match=r"got shape \(64,\)"):
+            estimate_rows(method, np.cumsum(np.ones(64)))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_zero_rows_give_empty_results(self, method):
+        walk = np.cumsum(np.random.Generator(np.random.PCG64(2)).standard_normal(200))
+        for empty in (np.empty((0, 64)), sliding_window_view(walk, 64)[5:5], sliding_window_view(walk, 64)[300::3]):
+            h, fits = estimate_rows(method, empty)
+            assert h.shape == fits.slope.shape == fits.n_points.shape == (0,)
+            assert fits.errors == {}

@@ -336,7 +336,9 @@ class TestDeterminismAndInvariance:
 
 
 class TestColumnarScanOracle:
-    def test_every_window_end_matches_the_one_row_estimate(self):
+    # rolls below the window overlap the rows; 64 makes them abut and 77 leaves gaps
+    @pytest.mark.parametrize("roll_step", [1, 7, 64, 77])
+    def test_every_window_end_matches_the_one_row_estimate(self, roll_step):
         # ids given out of order; one series too short for the window; a
         # halted stretch; trading-day dates that start at 1000 and step by 3
         rng = np.random.Generator(np.random.PCG64(11))
@@ -346,7 +348,7 @@ class TestColumnarScanOracle:
             if name == "MIKE":
                 prices[40:150] = prices[40]
             universe.append(PriceSeries(name, 1000 + 3 * np.arange(length), prices))
-        spec = ScanSpec(window=64, roll_step=7)
+        spec = ScanSpec(window=64, roll_step=roll_step)
         result = scan(universe, spec)
 
         expected = {method: [] for method in spec.methods}
@@ -357,7 +359,7 @@ class TestColumnarScanOracle:
                 reason = f"series of {len(values)} points is shorter than 2*window=128"
                 diagnostics.append(Diagnostic(series.instrument_id, None, None, reason))
                 continue
-            for t in window_end_positions(len(values), 64, 7):
+            for t in window_end_positions(len(values), 64, roll_step):
                 window = LogSeries(series.instrument_id, series.dates[t - 63 : t + 1], values[t - 63 : t + 1])
                 for method in spec.methods:
                     end = int(series.dates[t])
@@ -370,7 +372,8 @@ class TestColumnarScanOracle:
                     expected[method].append((series.instrument_id, end, alone.h, alone.suspect, forward))
 
         assert list(result.diagnostics) == diagnostics
-        assert any(d.method is not None for d in diagnostics)  # the halt made some windows degenerate
+        # MIKE's halt (days 40-149) holds a whole window at every roll but 77, whose one MIKE window ends on day 63
+        assert any(d.method is not None for d in diagnostics) == (roll_step != 77)
         for method, rows in expected.items():
             pool = result.pools[method]
             assert (pool.window, pool.method) == (64, method)
