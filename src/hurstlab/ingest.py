@@ -1,13 +1,14 @@
 """CSV ingestion and emission of price universes.
 
 The on-disk format is long CSV with header ``instrument,date,price`` and
-ISO-8601 calendar dates.  After a per-instrument sort by date, each
+``YYYY-MM-DD`` calendar dates.  After a per-instrument sort by date, each
 instrument's rows are mapped to consecutive trading-day ordinals
 0..n-1; downstream code never sees calendar dates.  Whatever prices the
 file carries are treated as ground truth (no adjustment logic here).
 
 Both directions work a column at a time: ingest validates whole columns
-of a bounded chunk of records and groups every row with one sort; emit
+of a bounded chunk of records and groups every row with one sort of
+packed (instrument, date) keys; emit
 renders each date string once and each instrument's rows with one join.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import re
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -35,6 +37,10 @@ _EPOCH = dt.date(2000, 1, 3).toordinal()  # day 0 of emitted synthetic calendars
 _CHUNK_ROWS = 4096
 
 _NEEDS_QUOTES = frozenset(',"\r\n')
+
+# The one date form write_csv emits.  From Python 3.11 on, date.fromisoformat
+# alone would also take 20000103 and 2000-W01-1, which 3.10 rejects.
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 
 def ingest_rows(rows: Iterable[Sequence[str]], source: str = "<input>") -> list[PriceSeries]:
@@ -65,9 +71,10 @@ class _Columns:
 
     def __init__(self, source: str):
         self.source = source
-        self.codes: dict[str, int] = {}  # instrument id -> code (any order; rows are ranked by id)
-        self.ordinals: dict[str, int] = {}  # date text -> proleptic Gregorian ordinal
-        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.codes: dict[str, int] = {}  # instrument id -> code, in order of first appearance
+        self.ordinals: dict[str, int] = {}  # date text -> proleptic Gregorian ordinal (< 2**22)
+        self.keys: list[np.ndarray] = []  # per chunk: code << 32 | ordinal of each record
+        self.prices: list[np.ndarray] = []
 
     def add(self, chunk: list[Sequence[str]], first_line: int) -> None:
         """Validate and append one chunk of records; the first is on ``first_line``.
@@ -103,6 +110,8 @@ class _Columns:
         bad_dates = set()
         for text in set(date_texts).difference(self.ordinals):
             try:
+                if not _ISO_DATE.fullmatch(text):
+                    raise ValueError(text)
                 self.ordinals[text] = dt.date.fromisoformat(text).toordinal()
             except ValueError:
                 bad_dates.add(text)
@@ -128,11 +137,11 @@ class _Columns:
         codes = self.codes
         for instrument in set(ids).difference(codes):
             codes[instrument] = len(codes)
-        self.parts.append((
-            np.fromiter(map(codes.__getitem__, ids), dtype=np.int64, count=len(ids)),
-            np.fromiter(map(self.ordinals.__getitem__, date_texts), dtype=np.int64, count=len(ids)),
-            prices,
-        ))
+        keys = np.fromiter(map(codes.__getitem__, ids), dtype=np.int64, count=len(ids))
+        keys <<= 32
+        keys |= np.fromiter(map(self.ordinals.__getitem__, date_texts), dtype=np.int64, count=len(ids))
+        self.keys.append(keys)
+        self.prices.append(prices)
 
     @staticmethod
     def _raise_first(faults: list[tuple[int, HurstLabError]]) -> None:
@@ -140,27 +149,37 @@ class _Columns:
             raise min(faults, key=lambda f: f[0])[1]  # min keeps the first of equal lines
 
     def universe(self) -> list[PriceSeries]:
-        """Series sorted by instrument id, each in date order, from one sort of every row."""
-        if not self.parts:
+        """Series sorted by instrument id, each in date order, from one sort of the packed keys.
+
+        Each column's chunks are dropped once joined, so at most about twice
+        the returned arrays are alive at once.
+        """
+        if not self.keys:
             return []
-        codes, ordinals, prices = (np.concatenate(column) for column in zip(*self.parts))
-        names = sorted(self.codes)
-        rank_of_code = np.empty(len(names), dtype=np.int64)
-        rank_of_code[[self.codes[name] for name in names]] = np.arange(len(names))
-        ranks = rank_of_code[codes]
-        order = np.lexsort((ordinals, ranks))
-        ranks, ordinals, prices = ranks[order], ordinals[order], prices[order]
-        repeated = (ranks[1:] == ranks[:-1]) & (ordinals[1:] == ordinals[:-1])
-        if repeated.any():
-            i = int(np.argmax(repeated))
-            instrument, date = names[ranks[i]], dt.date.fromordinal(int(ordinals[i]))
+        keys = np.concatenate(self.keys)
+        self.keys.clear()
+        prices = np.concatenate(self.prices)
+        self.prices.clear()
+        order = np.argsort(keys, kind="stable")  # a grouped, date-ordered file is one sorted run per id
+        keys = keys[order]
+        prices = prices[order]
+        del order
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            # codes follow first appearance: report the duplicate that comes first in (id, date) order
+            names = list(self.codes)
+            repeated_codes = keys[repeated] >> 32
+            code = min(np.unique(repeated_codes).tolist(), key=names.__getitem__)
+            key = int(keys[repeated[np.argmax(repeated_codes == code)]])
+            instrument, date = names[code], dt.date.fromordinal(key & 0xFFFFFFFF)
             raise DuplicateDate(
                 f"{self.source}: duplicate date {date.isoformat()} for {instrument}", instrument, date
             )
-        starts = np.flatnonzero(np.diff(ranks)) + 1
+        bounds = np.searchsorted(keys, np.arange(len(self.codes) + 1, dtype=np.int64) << 32).tolist()
+        del keys
         return [
-            PriceSeries(name, np.arange(len(group)), group)
-            for name, group in zip(names, np.split(prices, starts))
+            PriceSeries(name, np.arange(end - start), prices[start:end])
+            for name, (start, end) in sorted(zip(self.codes, zip(bounds, bounds[1:])))
         ]
 
 

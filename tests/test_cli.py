@@ -58,6 +58,17 @@ class TestRun:
         obs_lines = (out / "observations_gm2_w32.csv").read_text().splitlines()
         assert len(obs_lines) == 1 + 10 * ((300 - 64) // 20 + 1)
 
+    def test_ingested_cohort_writes_the_synthetic_run_tree(self, tmp_path):
+        csv_path = tmp_path / "u.csv"
+        assert _run(["synth", "--n", "6", "--len", "400", "--out", csv_path]) == 0
+        windows = ["--windows", "32,64"]
+        assert _run(["run", "--input", csv_path, *windows, "--out", tmp_path / "ingested"]) == 0
+        assert _run(["run", "--synthetic-cohort", "--n", "6", "--len", "400", *windows,
+                     "--out", tmp_path / "synthetic"]) == 0
+        ingested = _tree(tmp_path / "ingested")
+        assert len(ingested) == 18
+        assert ingested == _tree(tmp_path / "synthetic")
+
     def test_non_overlapping_rolls_one_window(self, tmp_path):
         out = tmp_path / "out"
         code = _run(

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,8 @@ def reference_ingest_rows(rows, source="<input>"):
         if not instrument:
             raise MalformedRow(f"{source}:{line}: empty instrument id", line)
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text):
+                raise ValueError(date_text)  # write_csv's one form, on every Python version
             date = dt.date.fromisoformat(date_text)
         except ValueError:
             raise MalformedRow(f"{source}:{line}: bad ISO date {date_text!r}", line)
@@ -249,6 +252,52 @@ class TestIngest:
         outcome = _outcome(ingest_rows, text)
         assert outcome == (DuplicateDate, "<input>: duplicate date 2001-01-03 for AAA", "AAA", dt.date(2001, 1, 3))
         assert outcome == _outcome(reference_ingest_rows, text)
+
+    @pytest.mark.parametrize("text", ["20000103", "2000-W01-1", "2000-1-3"])
+    def test_only_year_month_day_dates_are_accepted(self, text):
+        # date.fromisoformat takes the first two from Python 3.11 on, and 3.10 rejects them
+        csv_text = f"instrument,date,price\nAAA,2000-01-04,1\nAAA,{text},2\n"
+        outcome = _outcome(ingest_rows, csv_text)
+        assert outcome == (MalformedRow, f"<input>:3: bad ISO date {text!r}", 3)
+        assert outcome == _outcome(reference_ingest_rows, csv_text)
+
+    @pytest.mark.parametrize("records, duplicate", [
+        # both ends of the date half of the packed key, for an id whose code is not its rank
+        ([("ZED", "9999-12-31", 1), ("ZED", "0001-01-01", 2), ("AAA", "9999-12-31", 3),
+          ("AAA", "0001-01-01", 4), ("ZED", "5000-06-15", 5)], False),
+        # the id that sorts first appears only after two chunks of other ids
+        ([("MMM", "2001-01-03", 1), ("ZZZ", "2001-01-02", 2), ("MMM", "2001-01-02", 3),
+          ("ZZZ", "2001-01-01", 4), ("MMM", "2001-01-01", 5), ("ZZZ", "2001-01-03", 6),
+          ("AAA", "2001-01-02", 7), ("AAA", "2001-01-01", 8)], False),
+        # duplicates whose two records are in different chunks; BBB's comes first in the file
+        # and in code order, AAA's on 2001-01-03 first in (id, date) order
+        ([("BBB", "2001-01-05", 1), ("AAA", "2001-01-04", 2), ("BBB", "2001-01-02", 3),
+          ("AAA", "2001-01-03", 4), ("BBB", "2001-01-05", 5), ("AAA", "2001-01-04", 6),
+          ("AAA", "2001-01-03", 7)], True),
+    ], ids=["date-range-ends", "first-id-appears-late", "duplicate-across-chunks"])
+    def test_grouping_edge_cases_match_reference(self, records, duplicate):
+        text = "instrument,date,price\n" + "".join(f"{i},{d},{p}\n" for i, d, p in records)
+        with mock.patch.object(ingest_module, "_CHUNK_ROWS", 3):
+            outcome = _outcome(ingest_rows, text)
+        assert outcome == _outcome(reference_ingest_rows, text)
+        assert isinstance(outcome, tuple) == duplicate
+
+    def test_peak_memory_stays_near_the_returned_arrays(self):
+        rng = np.random.Generator(np.random.PCG64(10))
+        universe = [
+            PriceSeries(f"S{i:03d}", np.arange(2500), np.exp(np.cumsum(rng.normal(0, 0.01, 2500))))
+            for i in range(80)
+        ]
+        rows = list(csv.reader(io.StringIO(emit_csv(universe), newline="")))  # 200,001 rows, read before tracing
+        tracemalloc.start()
+        try:
+            back = ingest_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(s.prices.nbytes + s.dates.nbytes for s in back)
+        assert returned == 80 * 2500 * 16
+        assert peak <= 3 * returned, f"peak {peak / returned:.2f}x the returned arrays"
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "u.csv"
