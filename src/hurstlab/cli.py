@@ -189,7 +189,6 @@ def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_di
             configs={
                 m: replace(default_config(m, window, dfa_mode=args.dfa_profile), **overrides) for m in methods
             },
-            dfa_mode=args.dfa_profile,
         )
         result = scan(universe, spec)
         total_diagnostics += len(result.diagnostics)

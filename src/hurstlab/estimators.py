@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -73,19 +73,24 @@ DFA_MODE_RAW = "raw"
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Shared estimator knobs.
+    """Every estimator setting; ``default_config`` derives the defaults for a window length.
 
     ``q`` is the moment order (1 for GHE, 2 for DFA; unused by GM2),
-    ``tau_max`` the largest increment lag considered by GHE, and
-    ``k_min``/``k_max`` bound the dyadic block sizes used by DFA and GM2.
+    ``tau_max`` the largest increment lag considered by GHE,
+    ``k_min``/``k_max`` bound the dyadic block sizes used by DFA and GM2,
+    and ``dfa_mode`` picks DFA's signal: ``"profile"`` (the return
+    profile) or ``"raw"`` (the log prices); GHE and GM2 ignore it.
     """
 
     q: float = 1.0
     tau_max: int = 19
     k_min: int = 2
     k_max: int = 8
+    dfa_mode: str = DFA_MODE_PROFILE
 
     def __post_init__(self):
+        if self.dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+            raise ValueError(f"unknown dfa mode {self.dfa_mode!r}")
         if self.q <= 0:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.tau_max < 2:
@@ -111,27 +116,28 @@ class HEstimate:
     @property
     def suspect(self) -> bool:
         """True when the estimate falls outside the plausible (0, 2) band."""
-        return is_suspect(self.h)
+        return bool(is_suspect(self.h))
 
 
-def is_suspect(h: float) -> bool:
-    """True when an exponent falls outside the plausible (0, 2) band."""
-    return not (0.0 < h < 2.0)
+def is_suspect(h):
+    """True where an exponent, a float or an array of them, falls outside the plausible (0, 2) band."""
+    return np.logical_not((0.0 < h) & (h < 2.0))
 
 
 def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE) -> EstimatorConfig:
-    """Default configuration for a window of ``length`` points.
+    """Default configuration for a window of ``length`` points; the only source of defaults.
 
-    ``k_max`` is the largest k with ``2**k <= length / 2``.  DFA keeps
-    every dyadic scale from ``k_min = 2`` up (the coarsest may cover a
-    single block of the detrended signal, which costs variance but no
-    bias).  GM2 drops scales below ``2**(k_max - 3)``: the mean block
-    range of a sampled path sits below its continuum scaling law by a
-    near-constant deficit, which at small block sizes inflates the
-    log-log slope, so the small scales carry mostly bias.  The bias
-    shrinks as the blocks grow: at H = 0.3 the mean over 200 fBm paths
-    is about 0.38 at 512 points and falls within 0.05 of H from 8192
-    points (blocks of 512-4096).
+    It stores ``dfa_mode``.  GHE's ``tau_max`` is 19, or ``length - 1``
+    on shorter windows.  ``k_max`` is the largest k with ``2**k <= length
+    / 2``.  DFA keeps every dyadic scale from ``k_min = 2`` up (the
+    coarsest may cover a single block of the detrended signal, which
+    costs variance but no bias).  GM2 drops scales below
+    ``2**(k_max - 3)``: the mean block range of a sampled path sits below
+    its continuum scaling law by a near-constant deficit, which at small
+    block sizes inflates the log-log slope, so the small scales carry
+    mostly bias.  The bias shrinks as the blocks grow: at H = 0.3 the
+    mean over 200 fBm paths is about 0.38 at 512 points and falls within
+    0.05 of H from 8192 points (blocks of 512-4096).
     """
     q = 2.0 if method is Method.DFA else 1.0
     partition = length - 1 if (method is Method.DFA and dfa_mode == DFA_MODE_PROFILE) else length
@@ -141,7 +147,7 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
     if k_max < 4:
         raise SeriesTooShort(f"window of {length} points is too short for {method.value}")
     k_min = max(2, k_max - 3) if method is Method.GM2 else 2
-    return EstimatorConfig(q=q, k_min=k_min, k_max=k_max)
+    return EstimatorConfig(q=q, tau_max=min(19, length - 1), k_min=k_min, k_max=k_max, dfa_mode=dfa_mode)
 
 
 def _check_scales(cfg: EstimatorConfig, partition_length: int, label: str) -> None:
@@ -254,7 +260,7 @@ def _mean_block_ranges(values: np.ndarray, scales) -> np.ndarray:
     return ranges.sum(axis=-1) / counts
 
 
-def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig, dfa_mode: str):
+def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig):
     """Scales, the ``(rows, scales)`` statistic, and which points to fit (None: all)."""
     if method is Method.GHE:
         if windows.shape[1] <= cfg.tau_max:
@@ -268,7 +274,7 @@ def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig, dfa_mo
         _check_scales(cfg, windows.shape[1], "gm2")
         return np.array(scales), _mean_block_ranges(windows, scales), None
     # detrending absorbs the return profile's offset and mean-return ramp
-    signal = windows[:, 1:] if dfa_mode == DFA_MODE_PROFILE else windows
+    signal = windows[:, 1:] if cfg.dfa_mode == DFA_MODE_PROFILE else windows
     _check_scales(cfg, signal.shape[1], "dfa")
     return np.array(scales), _detrended_fluctuations(signal, scales, cfg.q), None
 
@@ -287,35 +293,30 @@ def _statistic_error(method: Method, stat: np.ndarray):
 
 
 def estimate_rows(
-    method: Method,
-    windows: np.ndarray,
-    cfg: EstimatorConfig | None = None,
-    dfa_mode: str = DFA_MODE_PROFILE,
+    method: Method, windows: np.ndarray, cfg: EstimatorConfig | None = None
 ) -> tuple[np.ndarray, RowFits]:
     """Exponent and log-log fit of every row of a ``(rows, length)`` matrix of log prices.
 
-    Returns ``(h, fits)``.  A row whose statistic or fit is degenerate
-    holds NaN in ``h`` and its error in ``fits.errors``, with the message
-    the one-row estimator raises; a length too short for ``cfg`` raises
-    for the whole matrix.  ``windows`` may be any 2-D float array: a
-    C-contiguous matrix, or a view whose rows are overlapping windows of
-    one series, such as ``sliding_window_view(x, n)[::step]``.  GHE reads
-    such a view in place and computes each lag's increments once for all
-    its rows; DFA and GM2 copy it into one C-contiguous matrix.  Rows are
-    computed independently of each other.
+    Returns ``(h, fits)``.  Every setting, DFA's mode included, comes
+    from ``cfg``, which defaults to ``default_config(method, length)``.  A
+    row whose statistic or fit is degenerate holds NaN in ``h`` and its
+    error in ``fits.errors``, with the message the one-row estimator
+    raises; a length too short for ``cfg`` raises for the whole matrix.
+    ``windows`` may be any 2-D float array: a C-contiguous matrix, or a
+    view whose rows are overlapping windows of one series, such as
+    ``sliding_window_view(x, n)[::step]``.  GHE reads such a view in place
+    and computes each lag's increments once for all its rows; DFA and GM2
+    copy it into one C-contiguous matrix.  Rows are computed independently
+    of each other.
     """
     if not isinstance(method, Method):
         raise ValueError(f"unknown method {method!r}")
-    if method is Method.DFA and dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
-        raise ValueError(f"unknown dfa mode {dfa_mode!r}")
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
         raise ValueError(f"windows must be a 2-D (rows, length) matrix, got shape {windows.shape}")
     if cfg is None:
-        cfg = default_config(method, windows.shape[1], dfa_mode=dfa_mode)
-        if method is Method.GHE:
-            cfg = replace(cfg, tau_max=min(19, windows.shape[1] - 1))
-    scales, stat, keep = _statistic(method, windows, cfg, dfa_mode)
+        cfg = default_config(method, windows.shape[1])
+    scales, stat, keep = _statistic(method, windows, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         fits = fit_rows(np.log(scales), np.log(stat), keep)
     # a degenerate statistic always fails the fit; name that failure the estimator's way
@@ -327,11 +328,6 @@ def estimate_rows(
     return h, fits
 
 
-def _one_row(method: Method, x: LogSeries, cfg: EstimatorConfig | None, dfa_mode: str) -> HEstimate:
-    h, fits = estimate_rows(method, x.values[None, :], cfg, dfa_mode)
-    return HEstimate(float(h[0]), fits.row(0), method, len(x))
-
-
 def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     """Generalized Hurst exponent from the scaling of lagged q-th moments.
 
@@ -341,22 +337,23 @@ def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     exactly zero carry no scaling information and are dropped before the
     fit; if none survive the regression degenerates.
     """
-    return _one_row(Method.GHE, x, cfg, DFA_MODE_PROFILE)
+    return estimate(Method.GHE, x, cfg)
 
 
-def dfa(x: LogSeries, cfg: EstimatorConfig | None = None, mode: str = DFA_MODE_PROFILE) -> HEstimate:
+def dfa(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     """Detrended fluctuation analysis of the log-price window.
 
-    ``mode="profile"`` (default) is the standard construction on the
-    cumulative sum of mean-centered log returns.  That profile differs
-    from ``x[1:]`` by an offset and a linear ramp, which block-wise linear
-    detrending removes, so this mode detrends ``x[1:]``.  ``mode="raw"``
-    detrends all of the log prices.  Each dyadic scale m yields the
-    fluctuation ``F_m = (mean over blocks of B_i) ** (1/q)``
-    with ``B_i = (mean squared residual) ** (q/2)``; the exponent is the
-    slope of ``log F_m`` against ``log m``.
+    ``cfg.dfa_mode`` picks the signal.  ``"profile"`` (default) is the
+    standard construction on the cumulative sum of mean-centered log
+    returns.  That profile differs from ``x[1:]`` by an offset and a
+    linear ramp, which block-wise linear detrending removes, so this mode
+    detrends ``x[1:]``.  ``"raw"`` detrends all of the log prices; take
+    its config from ``default_config(Method.DFA, len(x), DFA_MODE_RAW)``.
+    Each dyadic scale m yields the fluctuation ``F_m = (mean over blocks
+    of B_i) ** (1/q)`` with ``B_i = (mean squared residual) ** (q/2)``;
+    the exponent is the slope of ``log F_m`` against ``log m``.
     """
-    return _one_row(Method.DFA, x, cfg, mode)
+    return estimate(Method.DFA, x, cfg)
 
 
 def gm2(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
@@ -367,14 +364,10 @@ def gm2(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     the exponent is its log-log slope against m.  The mean is exactly
     independent of block order.
     """
-    return _one_row(Method.GM2, x, cfg, DFA_MODE_PROFILE)
+    return estimate(Method.GM2, x, cfg)
 
 
-def estimate(
-    method: Method,
-    x: LogSeries,
-    cfg: EstimatorConfig | None = None,
-    dfa_mode: str = DFA_MODE_PROFILE,
-) -> HEstimate:
+def estimate(method: Method, x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     """The estimator named by ``method``, on one series."""
-    return _one_row(method, x, cfg, dfa_mode)
+    h, fits = estimate_rows(method, x.values[None, :], cfg)
+    return HEstimate(float(h[0]), fits.row(0), method, len(x))

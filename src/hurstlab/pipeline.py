@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
-from .estimators import DFA_MODE_PROFILE, EstimatorConfig, Method, default_config, estimate_rows
+from .estimators import EstimatorConfig, Method, default_config, estimate_rows, is_suspect
 from .series import PriceSeries, to_log_prices
 
 __all__ = [
@@ -63,7 +63,6 @@ class ScanSpec:
     roll_step: int = 20
     methods: tuple[Method, ...] = (Method.GHE, Method.DFA, Method.GM2)
     configs: Mapping[Method, EstimatorConfig] | None = None
-    dfa_mode: str = DFA_MODE_PROFILE
 
     def __post_init__(self):
         if self.window < 32:
@@ -79,7 +78,7 @@ class ScanSpec:
     def config_for(self, method: Method) -> EstimatorConfig:
         if self.configs is not None and method in self.configs:
             return self.configs[method]
-        return default_config(method, self.window, dfa_mode=self.dfa_mode)
+        return default_config(method, self.window)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class ObservationPool:
     @property
     def suspect(self) -> np.ndarray:
         """``is_suspect`` of each row's exponent."""
-        return ~((0.0 < self.h) & (self.h < 2.0))
+        return is_suspect(self.h)
 
     def select(self, keep: np.ndarray) -> ObservationPool:
         """The rows ``keep`` marks, in the same order."""
@@ -188,7 +187,7 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
         failed = []
         for k, method in enumerate(spec.methods):
             try:
-                h, fits = estimate_rows(method, windows, configs[method], dfa_mode=spec.dfa_mode)
+                h, fits = estimate_rows(method, windows, configs[method])
             except HurstLabError as exc:
                 h, errors = np.full(len(ends), np.nan), dict.fromkeys(range(len(ends)), exc)
             else:
@@ -232,7 +231,12 @@ def annualize(mean_log_return: float, window: int) -> float:
     """Geometric annualization of a mean per-window log return, in percent."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return (math.exp(mean_log_return * TRADING_DAYS_PER_YEAR / window) - 1.0) * 100.0
+    try:
+        growth = math.exp(mean_log_return * TRADING_DAYS_PER_YEAR / window)
+    except OverflowError:
+        message = f"annualizing mean log return {mean_log_return:.6g} per {window} days overflows"
+        raise HurstLabError(message) from None
+    return (growth - 1.0) * 100.0
 
 
 @dataclass(frozen=True)

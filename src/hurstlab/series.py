@@ -93,9 +93,7 @@ class RegressionFit:
 
 
 def to_log_prices(series: PriceSeries) -> LogSeries:
-    """Natural log of each price; dates carried through unchanged."""
-    if np.any(series.prices <= 0.0):
-        raise NonPositivePrice(f"{series.instrument_id}: prices must be strictly positive")
+    """Natural log of each price, all positive by construction; dates carried through unchanged."""
     return LogSeries(series.instrument_id, series.dates, np.log(series.prices))
 
 

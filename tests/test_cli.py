@@ -1,6 +1,7 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hurstlab import PriceSeries, generate_drifted_cohort, ingest_csv, write_csv
@@ -128,6 +129,26 @@ class TestRun:
         assert "w512" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_overflowing_annualized_return_fails_cleanly(self, tmp_path, capsys):
+        # 25 of 40 instruments jump by a factor of 1e300 on day 100: a window's
+        # forward log return of ~691 annualizes past the largest float
+        rng = np.random.Generator(np.random.PCG64(5))
+        universe = []
+        for i in range(40):
+            prices = np.exp(2.0 + np.cumsum(rng.normal(0.0, 0.01, 200)))
+            if i < 25:
+                prices[100:] *= 1e300
+            universe.append(PriceSeries(f"S{i:02d}", np.arange(200), prices))
+        write_csv(universe, tmp_path / "jump.csv")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier file")
+        code = _run(["run", "--input", tmp_path / "jump.csv", "--windows", "32", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ghe_w32: annualizing mean log return ")
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jump.csv", "out"]
 
     def test_failed_run_creates_no_out_dir(self, tmp_path):
         out = tmp_path / "new"

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstlab import (
+    DFA_MODE_PROFILE,
+    DFA_MODE_RAW,
     DegenerateRegression,
     EstimatorConfig,
     FbmSpec,
+    HurstLabError,
     LogSeries,
     Method,
     SeriesTooShort,
@@ -59,6 +62,32 @@ class TestConfig:
     def test_too_short_window(self):
         with pytest.raises(SeriesTooShort):
             default_config(Method.GM2, 12)
+
+    @pytest.mark.parametrize("length", [*range(17, 41), 64])
+    def test_no_config_means_default_config(self, length):
+        # random walks, a constant row and a row constant from its second point
+        walks = np.cumsum(np.random.Generator(np.random.PCG64(length)).standard_normal((4, length)), axis=1)
+        windows = np.vstack([walks, np.zeros(length), np.r_[0.0, np.ones(length - 1)]])
+        for method in Method:
+            assert _outcome(lambda: estimate_rows(method, windows)) == _outcome(
+                lambda: estimate_rows(method, windows, default_config(method, length))
+            ), method
+        # raw mode detrends what profile mode detrends after one more leading point
+        leading = np.hstack([np.full((len(windows), 1), 7.0), windows])
+        raw = lambda: default_config(Method.DFA, length, DFA_MODE_RAW)
+        assert _outcome(lambda: estimate_rows(Method.DFA, windows, raw())) == _outcome(
+            lambda: estimate_rows(Method.DFA, leading, replace(raw(), dfa_mode=DFA_MODE_PROFILE))
+        )
+
+
+def _outcome(run):
+    """Every array and row error of an ``estimate_rows`` call, or the class it raised."""
+    try:
+        h, fits = run()
+    except HurstLabError as exc:
+        return type(exc)
+    arrays = [a.tobytes() for a in (h, fits.slope, fits.intercept, fits.r_squared, fits.n_points)]
+    return arrays + sorted((i, type(e), str(e)) for i, e in fits.errors.items())
 
 
 class TestGhe:
@@ -123,22 +152,23 @@ class TestDfa:
     def test_fluctuation_oracle_polyfit(self, q):
         # recompute fluctuations per block with numpy.polyfit as an independent route
         x = generate_fbm(FbmSpec(h=0.5, length=256, seed=11))
-        cfg = replace(default_config(Method.DFA, 256), q=q)
-        est = dfa(x, cfg)
         increments = np.diff(x.values)
-        signal = np.cumsum(increments - increments.mean())
-        expected = []
-        for m in cfg.scales():
-            blocks = _blocks(signal, m)
-            t = np.arange(m, dtype=float)
-            powers = []
-            for block in blocks:
-                coeffs = np.polyfit(t, block, 1)
-                resid = block - np.polyval(coeffs, t)
-                powers.append(np.mean(resid ** 2) ** (cfg.q / 2.0))
-            expected.append(np.mean(powers) ** (1.0 / cfg.q))
-        slope = np.polyfit(np.log(cfg.scales()), np.log(expected), 1)[0]
-        assert est.h == pytest.approx(slope, abs=1e-9)
+        profile = np.cumsum(increments - increments.mean())
+        for mode, signal in ((DFA_MODE_PROFILE, profile), (DFA_MODE_RAW, x.values)):
+            cfg = replace(default_config(Method.DFA, 256, mode), q=q)
+            est = dfa(x, cfg)
+            expected = []
+            for m in cfg.scales():
+                blocks = _blocks(signal, m)
+                t = np.arange(m, dtype=float)
+                powers = []
+                for block in blocks:
+                    coeffs = np.polyfit(t, block, 1)
+                    resid = block - np.polyval(coeffs, t)
+                    powers.append(np.mean(resid ** 2) ** (cfg.q / 2.0))
+                expected.append(np.mean(powers) ** (1.0 / cfg.q))
+            slope = np.polyfit(np.log(cfg.scales()), np.log(expected), 1)[0]
+            assert est.h == pytest.approx(slope, abs=1e-9), mode
 
     def test_cached_block_ramp_is_read_only(self):
         dt, dt_norm, ones = _block_ramp(16)
@@ -149,11 +179,23 @@ class TestDfa:
 
     def test_raw_mode_close_to_profile_mode(self):
         x = generate_fbm(FbmSpec(h=0.6, length=512, seed=21))
-        assert dfa(x, mode="raw").h == pytest.approx(dfa(x, mode="profile").h, abs=0.15)
+        raw = default_config(Method.DFA, 512, DFA_MODE_RAW)
+        assert dfa(x, raw).h == pytest.approx(dfa(x).h, abs=0.15)
+
+    def test_raw_config_runs_raw_mode(self):
+        # a config from default_config carries its mode to the kernel
+        x = generate_fbm(FbmSpec(h=0.6, length=512, seed=21))
+        raw = default_config(Method.DFA, 512, DFA_MODE_RAW)
+        assert raw.dfa_mode == DFA_MODE_RAW and raw != default_config(Method.DFA, 512)
+        assert dfa(x, raw).h != dfa(x).h
+        assert dfa(x, raw).h == pytest.approx(0.7170, abs=5e-5)
+        assert dfa(x).h == pytest.approx(0.6646, abs=5e-5)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            dfa(generate_fbm(FbmSpec(h=0.5, length=64, seed=1)), mode="bogus")
+        with pytest.raises(ValueError, match="unknown dfa mode 'bogus'"):
+            EstimatorConfig(dfa_mode="bogus")
+        with pytest.raises(ValueError, match="unknown dfa mode"):
+            default_config(Method.DFA, 64, "bogus")
 
 
 class TestGm2:
@@ -252,7 +294,8 @@ class TestSharedBehavior:
         shift = np.round(shift * grid) / grid
         assert np.all((v + shift) - shift == v)
         x1, x2 = _series(v), _series(v + shift)
-        for est in (ghe, gm2, lambda x: dfa(x, mode="profile"), lambda x: dfa(x, mode="raw")):
+        raw = lambda x: dfa(x, default_config(Method.DFA, len(x), DFA_MODE_RAW))
+        for est in (ghe, gm2, dfa, raw):
             assert est(x1).h == est(x2).h
 
 

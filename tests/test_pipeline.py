@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hurstlab import (
     ANY_LABEL,
+    DFA_MODE_RAW,
     DuplicateInstrument,
     EmptyUniverse,
     FbmSpec,
@@ -23,8 +24,12 @@ from hurstlab import (
     TooFewObservations,
     annualize,
     bucketize,
+    default_config,
+    dfa,
     estimate,
     generate_fbm,
+    ghe,
+    gm2,
     report,
     scan,
 )
@@ -263,6 +268,10 @@ class TestAnnualize:
         with pytest.raises(ValueError):
             annualize(0.01, 0)
 
+    def test_overflow_is_a_hurstlab_error(self):
+        with pytest.raises(HurstLabError, match="annualizing mean log return 111 per 32 days overflows"):
+            annualize(111.0, 32)
+
 
 class TestReport:
     def test_zero_returns_give_zero_rows(self):
@@ -339,6 +348,17 @@ class TestColumnarScanOracle:
     # rolls below the window overlap the rows; 64 makes them abut and 77 leaves gaps
     @pytest.mark.parametrize("roll_step", [1, 7, 64, 77])
     def test_every_window_end_matches_the_one_row_estimate(self, roll_step):
+        self._check(self._universe(), ScanSpec(window=64, roll_step=roll_step))
+
+    @pytest.mark.parametrize("roll_step", [1, 7, 64, 77])
+    def test_raw_mode_dfa_matches_the_one_row_dfa(self, roll_step):
+        universe, raw = self._universe(), default_config(Method.DFA, 64, DFA_MODE_RAW)
+        result = self._check(universe, ScanSpec(window=64, roll_step=roll_step, configs={Method.DFA: raw}))
+        profile = scan(universe, ScanSpec(window=64, roll_step=roll_step))
+        assert result.pools[Method.DFA].h.tolist() != profile.pools[Method.DFA].h.tolist()
+
+    @staticmethod
+    def _universe():
         # ids given out of order; one series too short for the window; a
         # halted stretch; trading-day dates that start at 1000 and step by 3
         rng = np.random.Generator(np.random.PCG64(11))
@@ -348,8 +368,14 @@ class TestColumnarScanOracle:
             if name == "MIKE":
                 prices[40:150] = prices[40]
             universe.append(PriceSeries(name, 1000 + 3 * np.arange(length), prices))
-        spec = ScanSpec(window=64, roll_step=roll_step)
+        return universe
+
+    @staticmethod
+    def _check(universe, spec):
+        """Scan with ``spec`` and compare every row with its one-row ``ghe``, ``dfa`` or ``gm2``."""
         result = scan(universe, spec)
+        roll_step = spec.roll_step
+        one_row = {Method.GHE: ghe, Method.DFA: dfa, Method.GM2: gm2}
 
         expected = {method: [] for method in spec.methods}
         diagnostics = []
@@ -364,7 +390,7 @@ class TestColumnarScanOracle:
                 for method in spec.methods:
                     end = int(series.dates[t])
                     try:
-                        alone = estimate(method, window, spec.config_for(method))
+                        alone = one_row[method](window, spec.config_for(method))
                     except HurstLabError as exc:
                         diagnostics.append(Diagnostic(series.instrument_id, end, method, str(exc)))
                         continue
@@ -383,6 +409,7 @@ class TestColumnarScanOracle:
             ))
             assert found == rows  # exact: h bit for bit, in canonical order
             assert all(isinstance(end, int) and (end - 1000) % 3 == 0 for _, end, *_ in found)
+        return result
 
 
 def _random_walks(seed, n_series, length):
