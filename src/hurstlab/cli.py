@@ -201,7 +201,10 @@ def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_di
                 quintile = report(pool, scheme="quintile")
                 tail = report(pool, scheme="tail")
             except HurstLabError as exc:
-                raise HurstLabError(f"{tag}: {exc}") from exc
+                # an empty or thin pool is the symptom; the first skip in this group names its cause
+                skip = next((d.reason for d in result.diagnostics if d.method in (method, None)), None)
+                cause = f" (first skip: {skip})" if skip else ""
+                raise HurstLabError(f"{tag}: {exc}{cause}") from exc
             summary_reports[method].append(quintile)
             (out_dir / f"quintile_{tag}.{ext}").write_text(render(quintile), encoding="utf-8")
             (out_dir / f"tail_{tag}.{ext}").write_text(render(tail), encoding="utf-8")

@@ -7,19 +7,24 @@ instrument's rows are mapped to consecutive trading-day ordinals
 file carries are treated as ground truth (no adjustment logic here).
 
 Both directions work a column at a time: ingest validates whole columns
-of a bounded chunk of records and groups every row with one sort of
-packed (instrument, date) keys; emit
+of a bounded chunk of records and groups every row by packed
+(instrument, date) keys, sorted once unless they ascend already; emit
 renders each date string once and each instrument's rows with one join.
+
+``ingest_csv`` splits blocks of plain records (three bare printable ASCII
+fields, as ``write_csv`` writes them) at their commas; any other records go
+through ``csv.reader``.  Both meet the same checks, so nothing else changes.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import re
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +40,12 @@ _EPOCH = dt.date(2000, 1, 3).toordinal()  # day 0 of emitted synthetic calendars
 # Records validated per step: large enough that per-chunk overhead vanishes,
 # small enough that the chunk's column lists stay in cache (65536 was slower).
 _CHUNK_ROWS = 4096
+
+# Bytes ingest_csv reads at a time: 64-512 KB take the same time, but a block's
+# strings lift the memory peak above 128 KB (3.6x the returned arrays at 512 KB).
+_BLOCK_BYTES = 1 << 17
+_PLAIN_HEADER = b"instrument,date,price\n"
+_PRINTABLE = bytes(range(0x21, 0x7F)).translate(None, b'",')  # deleted, they leave ",,\n" of a plain record
 
 _NEEDS_QUOTES = frozenset(',"\r\n')
 
@@ -58,9 +69,12 @@ def ingest_rows(rows: Iterable[Sequence[str]], source: str = "<input>") -> list[
         raise MalformedRow(
             f"{source}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}", 1
         )
-    columns = _Columns(source)
-    line = 2
-    while chunk := list(islice(it, _CHUNK_ROWS)):
+    return _add_rows(_Columns(source), it, 2)
+
+
+def _add_rows(columns: _Columns, rows: Iterator[Sequence[str]], line: int) -> list[PriceSeries]:
+    """Add ``rows``, the first on ``line``, to ``columns`` in chunks; return the universe."""
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
         columns.add(chunk, line)
         line += len(chunk)
     return columns.universe()
@@ -77,32 +91,37 @@ class _Columns:
         self.prices: list[np.ndarray] = []
 
     def add(self, chunk: list[Sequence[str]], first_line: int) -> None:
-        """Validate and append one chunk of records; the first is on ``first_line``.
-
-        Each check runs over a whole column and notes its first failing
-        record.  The earliest record wins, and within one record the check
-        that comes first below, so the error is the one a loop checking
-        record after record would raise.
-        """
+        """Skip blank records, note those without three fields, strip the rest and ``add_columns``."""
         lines: Sequence[int] = range(first_line, first_line + len(chunk))
-        faults: list[tuple[int, HurstLabError]] = []  # (line, error), in check order
-
-        def fault(i: int, kind: type[HurstLabError], what: str) -> None:
-            faults.append((lines[i], kind(f"{self.source}:{lines[i]}: {what}", lines[i])))
-
+        faults: list[tuple[int, HurstLabError]] = []
         if set(map(len, chunk)) != {3}:
             kept = []
             for i, row in enumerate(chunk):
                 if len(row) == 3:
                     kept.append(i)
                 elif row and not (len(row) == 1 and not row[0].strip()):
-                    fault(i, MalformedRow, f"expected 3 fields, got {len(row)}")
+                    what = f"{self.source}:{lines[i]}: expected 3 fields, got {len(row)}"
+                    faults.append((lines[i], MalformedRow(what, lines[i])))
             lines = [lines[i] for i in kept]
             chunk = [chunk[i] for i in kept]
             if not chunk:
                 self._raise_first(faults)
                 return
         ids, date_texts, price_texts = (list(map(str.strip, column)) for column in zip(*chunk))
+        self.add_columns(ids, date_texts, price_texts, lines, faults)
+
+    def add_columns(self, ids: list[str], date_texts: list[str], price_texts: list[str],
+                    lines: Sequence[int], faults: list[tuple[int, HurstLabError]]) -> None:
+        """Validate and append the stripped fields of records on ``lines``, after ``faults``.
+
+        Each check runs over a whole column and notes its first failing
+        record.  The earliest record wins, and within one record the check
+        that comes first below, so the error is the one a loop checking
+        record after record would raise.
+        """
+
+        def fault(i: int, kind: type[HurstLabError], what: str) -> None:
+            faults.append((lines[i], kind(f"{self.source}:{lines[i]}: {what}", lines[i])))
 
         if "" in ids:
             fault(ids.index(""), MalformedRow, "empty instrument id")
@@ -135,8 +154,8 @@ class _Columns:
         self._raise_first(faults)
 
         codes = self.codes
-        for instrument in set(ids).difference(codes):
-            codes[instrument] = len(codes)
+        for instrument in dict.fromkeys(ids):
+            codes.setdefault(instrument, len(codes))
         keys = np.fromiter(map(codes.__getitem__, ids), dtype=np.int64, count=len(ids))
         keys <<= 32
         keys |= np.fromiter(map(self.ordinals.__getitem__, date_texts), dtype=np.int64, count=len(ids))
@@ -149,7 +168,7 @@ class _Columns:
             raise min(faults, key=lambda f: f[0])[1]  # min keeps the first of equal lines
 
     def universe(self) -> list[PriceSeries]:
-        """Series sorted by instrument id, each in date order, from one sort of the packed keys.
+        """Series sorted by instrument id, each in date order, from the packed keys sorted once if need be.
 
         Each column's chunks are dropped once joined, so at most about twice
         the returned arrays are alive at once.
@@ -160,10 +179,11 @@ class _Columns:
         self.keys.clear()
         prices = np.concatenate(self.prices)
         self.prices.clear()
-        order = np.argsort(keys, kind="stable")  # a grouped, date-ordered file is one sorted run per id
-        keys = keys[order]
-        prices = prices[order]
-        del order
+        if not (keys[1:] >= keys[:-1]).all():  # a grouped, date-ordered file is in order
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            prices = prices[order]
+            del order
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if repeated.size:
             # codes follow first appearance: report the duplicate that comes first in (id, date) order
@@ -195,10 +215,43 @@ def ingest_csv(path: str | Path) -> list[PriceSeries]:
     """Read one long-format CSV file into a price universe.
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    Blocks of plain records are split; from the first block that is not
+    plain (a record boundary), the rest of the file goes through ``csv.reader``.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as f:
-        return ingest_rows(csv.reader(f), source=path.name)
+    with path.open("rb") as f:
+        if f.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+            f.seek(0)
+            with io.TextIOWrapper(f, "utf-8-sig", newline="") as text:
+                return ingest_rows(csv.reader(text), path.name)
+        columns = _Columns(path.name)
+        line = _add_plain_blocks(columns, f)
+        with io.TextIOWrapper(f, "utf-8", newline="") as text:
+            return _add_rows(columns, csv.reader(text), line)
+
+
+def _add_plain_blocks(columns: _Columns, f: BinaryIO) -> int:
+    """Add the records of ``f`` from here while they come in plain blocks of whole records.
+
+    Leaves ``f`` at the first record not added and returns its line.
+    """
+    line, start, tail = 2, f.tell(), b""
+    while data := f.read(_BLOCK_BYTES):
+        tail += data
+        cut = tail.rfind(b"\n") + 1
+        block, tail = tail[:cut], tail[cut:]
+        records = block.count(b"\n")
+        if block.translate(None, _PRINTABLE) != b",,\n" * records:
+            break
+        parts = block.decode("ascii").replace("\n", ",").split(",")
+        # csv.reader rejects a field over its size limit; only a block this long can hold one
+        limit = csv.field_size_limit()
+        if len(block) - 3 * records > limit and max(map(len, parts)) > limit:
+            break
+        columns.add_columns(parts[0:-1:3], parts[1::3], parts[2::3], range(line, line + records), [])
+        start, line = start + cut, line + records
+    f.seek(start)  # a last record without its newline is left to csv.reader
+    return line
 
 
 def ingest_dir(path: str | Path) -> list[PriceSeries]:

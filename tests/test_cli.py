@@ -130,6 +130,23 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
+    @pytest.mark.parametrize("override, error", [
+        (["--methods", "ghe", "--tau-max", "40"], "ghe_w32: quintile bucketing needs >= 20 observations, got 0"
+         " (first skip: ghe: need more than tau_max=40 points, got 32)"),
+        (["--methods", "gm2", "--k-max", "9"], "gm2_w32: quintile bucketing needs >= 20 observations, got 0"
+         " (first skip: gm2: largest block 2**9 does not fit in 32 points)"),
+    ], ids=["ghe-tau-max", "gm2-k-max"])
+    def test_unsatisfiable_override_names_its_cause(self, tmp_path, capsys, override, error):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier file")
+        code = _run(["run", "--synthetic-cohort", "--n", "6", "--len", "400", "--windows", "32", *override,
+                     "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
     def test_overflowing_annualized_return_fails_cleanly(self, tmp_path, capsys):
         # 25 of 40 instruments jump by a factor of 1e300 on day 100: a window's
         # forward log return of ~691 annualizes past the largest float

@@ -2,7 +2,9 @@ import csv
 import datetime as dt
 import io
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -80,13 +82,26 @@ def reference_ingest_rows(rows, source="<input>"):
 
 def _outcome(ingest, text):
     """What ``ingest`` makes of CSV ``text``: the universe, or the error's class and fields."""
+    return _result(lambda: ingest(csv.reader(io.StringIO(text, newline=""))))
+
+
+def _result(read):
+    """What ``read()`` returns: the universe, or the error's class and fields."""
     try:
-        universe = ingest(csv.reader(io.StringIO(text, newline="")))
+        universe = read()
+    except csv.Error as exc:
+        return csv.Error, str(exc)
     except (MalformedRow, NonPositivePrice) as exc:
         return type(exc), str(exc), exc.line
     except DuplicateDate as exc:
         return type(exc), str(exc), exc.instrument_id, exc.date
     return [(s.instrument_id, s.dates.tolist(), s.prices.tolist()) for s in universe]
+
+
+def _through_csv_reader(path):
+    """``ingest_csv`` as it was before plain blocks skipped ``csv.reader``."""
+    with path.open(newline="", encoding="utf-8-sig") as f:
+        return ingest_rows(csv.reader(f), source=path.name)
 
 
 def _field(text, quoted):
@@ -96,10 +111,9 @@ def _field(text, quoted):
 MUTATIONS = ("fields", "empty id", "bad date", "bad price", "inf", "non-positive", "duplicate date")
 
 
-@st.composite
-def csv_files(draw):
-    """Interleaved instruments with blank lines, padding, quoting and up to two bad records."""
-    ids = draw(st.lists(st.sampled_from(["AAA", "BB,B", 'C"C', "DDD", "EEE"]), min_size=1, max_size=4, unique=True))
+def _records(draw, ids):
+    """Interleaved records of up to four of ``ids``, with up to two bad ones."""
+    ids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
     records = []
     for instrument in ids:
         days = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
@@ -116,7 +130,7 @@ def csv_files(draw):
         if kind == "fields":
             record = record[:2] if draw(st.booleans()) else [*record, "x"]
         elif kind == "empty id":
-            record[0] = " "
+            record[0] = draw(st.sampled_from([" ", ""]))
         elif kind == "bad date":
             record[1] = draw(st.sampled_from(["2001-13-01", "01/02/2001", ""]))
         elif kind == "bad price":
@@ -129,6 +143,13 @@ def csv_files(draw):
             records.insert(draw(st.integers(0, len(records))), [record[0], record[1], "7.0"])
             continue
         records[at] = record
+    return records
+
+
+@st.composite
+def csv_files(draw):
+    """Interleaved instruments with blank lines, padding, quoting and up to two bad records."""
+    records = _records(draw, ["AAA", "BB,B", 'C"C', "DDD", "EEE"])
     lines = ["instrument,date,price"]
     for record in records:
         if draw(st.integers(0, 5)) == 0:
@@ -139,6 +160,24 @@ def csv_files(draw):
             for f in record
         ))
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mostly_plain_csv_files(draw):
+    """Records as write_csv writes them, a few lines disturbed, and varied line and file ends."""
+    records = _records(draw, ["AAA", "DDD", "EEE"])
+    ends = draw(st.sampled_from(["plain"] * 7 + ["header", "crlf", "bom"]))  # the last three skip the split
+    lines = ["Instrument,Date,Price " if ends == "header" else "instrument,date,price"]
+    for record in records:
+        line = ",".join(_field(f, quoted=any(c in f for c in ',"')) for f in record)
+        rest = line.partition(",")[2]
+        lines.append(draw(st.sampled_from([line] * 16 + [  # mostly as written, then each csv.reader case
+            "", " ", f" {line}", f"{line}\t", f"{line}\r", f'"{record[0]}",{rest}', f'"BB,B",{rest}',
+            f"\u00c9T\u00c9,{rest}",
+        ])))
+    newline = "\r\n" if ends == "crlf" else "\n"
+    bom = "\ufeff" if ends == "bom" else ""
+    return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 class TestIngest:
@@ -212,6 +251,24 @@ class TestIngest:
     def test_matches_per_record_reference(self, text, chunk_rows):
         with mock.patch.object(ingest_module, "_CHUNK_ROWS", chunk_rows):
             assert _outcome(ingest_rows, text) == _outcome(reference_ingest_rows, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(csv_files(), mostly_plain_csv_files()), block_bytes=st.integers(1, 64))
+    def test_csv_file_matches_csv_reader(self, text, block_bytes):
+        # small blocks interleave plain and csv.reader blocks and put faults on block edges
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "u.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(ingest_module, "_BLOCK_BYTES", block_bytes):
+                assert _result(lambda: ingest_csv(path)) == _result(lambda: _through_csv_reader(path))
+
+    @pytest.mark.parametrize("length", [131072, 131073])
+    def test_plain_fields_keep_the_csv_size_limit(self, tmp_path, length):
+        # csv.reader rejects a field longer than csv.field_size_limit(), 131072 by default
+        path = _write(tmp_path, "u.csv", f"instrument,date,price\n{'A' * length},2001-01-02,1\n")
+        outcome = _result(lambda: ingest_csv(path))
+        assert outcome == _result(lambda: _through_csv_reader(path))
+        assert (outcome[0] is csv.Error) == (length > 131072)
 
     def test_bad_record_beyond_two_chunks_reports_its_line(self, tmp_path):
         lines = ["instrument,date,price"]
@@ -292,6 +349,24 @@ class TestIngest:
         tracemalloc.start()
         try:
             back = ingest_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(s.prices.nbytes + s.dates.nbytes for s in back)
+        assert returned == 80 * 2500 * 16
+        assert peak <= 3 * returned, f"peak {peak / returned:.2f}x the returned arrays"
+
+    def test_csv_file_peak_memory_stays_near_the_returned_arrays(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(10))
+        universe = [
+            PriceSeries(f"S{i:03d}", np.arange(2500), np.exp(np.cumsum(rng.normal(0, 0.01, 2500))))
+            for i in range(80)
+        ]
+        path = tmp_path / "u.csv"
+        write_csv(universe, path)  # 200,001 plain records
+        tracemalloc.start()
+        try:
+            back = ingest_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
