@@ -25,7 +25,7 @@ from .estimators import (
     ghe,
     gm2,
 )
-from .ingest import emit_csv, ingest_csv, ingest_dir, write_csv
+from .ingest import ingest_csv, ingest_dir, write_csv
 from .pipeline import (
     ANY_LABEL,
     QUINTILE_LABELS,

@@ -2,9 +2,10 @@
 
 Two subcommands:
 
-* ``run``   -- ingest a CSV universe (or synthesize one) and, for every
-  (window, method) pair, write the raw observation CSV plus one quintile
-  and one tail bucket report into the output directory.
+* ``run``   -- ingest a CSV file or a directory of them (or synthesize a
+  universe) and, for every (window, method) pair, write the raw
+  observation CSV plus one quintile and one tail bucket report into the
+  output directory.
 * ``synth`` -- dump a drifted synthetic cohort in the ingestion CSV
   format.
 
@@ -74,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="scan a universe and write bucket reports")
     src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="long-format CSV file (instrument,date,price)")
-    src.add_argument("--input-dir", help="directory of long-format CSV files")
+    src.add_argument("--input", help="long-format CSV file (instrument,date,price) or a directory of them")
     src.add_argument(
         "--synthetic-cohort",
         action="store_true",
@@ -144,9 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not windows:
         raise HurstLabError("at least one window size required")
     if args.input:
-        universe = ingest_csv(args.input)
-    elif args.input_dir:
-        universe = ingest_dir(args.input_dir)
+        universe = ingest_dir(args.input) if Path(args.input).is_dir() else ingest_csv(args.input)
     else:
         universe = _cohort_from_args(args)
     out_dir = Path(args.out)

@@ -63,9 +63,6 @@ class Method(enum.Enum):
     DFA = "DFA"
     GM2 = "GM2"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 DFA_MODE_PROFILE = "profile"
 DFA_MODE_RAW = "raw"

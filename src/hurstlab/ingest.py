@@ -8,8 +8,9 @@ file carries are treated as ground truth (no adjustment logic here).
 
 Both directions work a column at a time: ingest validates whole columns
 of a bounded chunk of records and groups every row by packed
-(instrument, date) keys, sorted once unless they ascend already; emit
-renders each date string once and each instrument's rows with one join.
+(instrument, date) keys, sorted once unless they ascend already;
+``write_csv`` renders each date string once and each instrument's rows
+with one join.
 
 ``ingest_csv`` splits blocks of plain records (three bare printable ASCII
 fields, as ``write_csv`` writes them) at their commas; any other records go
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import DuplicateDate, DuplicateInstrument, HurstLabError, MalformedRow, NonPositivePrice
 from .series import PriceSeries
 
-__all__ = ["CSV_HEADER", "ingest_csv", "ingest_rows", "ingest_dir", "emit_csv", "write_csv"]
+__all__ = ["CSV_HEADER", "ingest_csv", "ingest_rows", "ingest_dir", "write_csv"]
 
 CSV_HEADER = ("instrument", "date", "price")
 
@@ -217,17 +218,31 @@ def ingest_csv(path: str | Path) -> list[PriceSeries]:
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     Blocks of plain records are split; from the first block that is not
     plain (a record boundary), the rest of the file goes through ``csv.reader``.
+    A field ``csv.reader`` rejects, or a byte that is not UTF-8, raises
+    ``MalformedRow`` naming the file (and for the byte, its offset and line).
     """
     path = Path(path)
-    with path.open("rb") as f:
-        if f.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
-            f.seek(0)
-            with io.TextIOWrapper(f, "utf-8-sig", newline="") as text:
-                return ingest_rows(csv.reader(text), path.name)
-        columns = _Columns(path.name)
-        line = _add_plain_blocks(columns, f)
-        with io.TextIOWrapper(f, "utf-8", newline="") as text:
-            return _add_rows(columns, csv.reader(text), line)
+    try:
+        with path.open("rb") as f:
+            if f.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+                f.seek(0)
+                with io.TextIOWrapper(f, "utf-8-sig", newline="") as text:
+                    return ingest_rows(csv.reader(text), path.name)
+            columns = _Columns(path.name)
+            line = _add_plain_blocks(columns, f)
+            with io.TextIOWrapper(f, "utf-8", newline="") as text:
+                return _add_rows(columns, csv.reader(text), line)
+    except csv.Error as exc:
+        raise MalformedRow(f"{path.name}: {exc}") from exc
+    except UnicodeDecodeError:
+        # the decoder's position counts from its current chunk; locate the byte in the whole file
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedRow(f"{path.name}: line {line}, byte {exc.start}: not UTF-8 ({exc.reason})") from None
+        raise
 
 
 def _add_plain_blocks(columns: _Columns, f: BinaryIO) -> int:
@@ -282,41 +297,28 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _csv_chunks(universe: Iterable[PriceSeries]) -> Iterator[str]:
-    """The header line, then each instrument's rows as one string, in id order."""
-    ordered = sorted(universe, key=lambda s: s.instrument_id)
-    ids = [s.instrument_id for s in ordered]
-    # ingest strips the whitespace around every field, so these ids would not read back
-    lost = [name for name in ids if not name or name != name.strip()]
-    if lost:
-        raise ValueError(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
-    yield ",".join(CSV_HEADER) + "\n"
-    if not ordered:
-        return
-    days = np.unique(np.concatenate([s.dates for s in ordered]))
-    iso = np.array([dt.date.fromordinal(_EPOCH + d).isoformat() for d in days.tolist()], dtype=object)
-    for series in ordered:
-        prefix = _csv_field(series.instrument_id) + ","
-        dates = iso[np.searchsorted(days, series.dates)].tolist()
-        yield "".join([f"{prefix}{date},{price!r}\n" for date, price in zip(dates, series.prices.tolist())])
-
-
-def emit_csv(universe: Iterable[PriceSeries]) -> str:
-    """Universe as ingestion-format CSV text.
+def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
+    """Write ``universe`` to ``path`` as ingestion-format CSV, one instrument at a time, in id order.
 
     Trading-day ordinals are rendered as calendar days counted from a
-    fixed epoch, so ``ingest_rows`` on the output recovers series whose
-    ordinals started at 0 exactly (prices round-trip via ``repr``).  An
-    id holding a comma, quote or line break is quoted as ``csv`` does; an
-    empty id, or one with whitespace around it, raises ``ValueError``.
+    fixed epoch, so ingesting the file recovers series whose ordinals
+    started at 0 exactly (prices round-trip via ``repr``).  An id holding
+    a comma, quote or line break is quoted as ``csv`` does; an empty id,
+    or one with whitespace around it, raises ``ValueError`` before the
+    file is opened.
     """
-    return "".join(_csv_chunks(universe))
-
-
-def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
-    """Write ``emit_csv(universe)`` to ``path`` one instrument at a time."""
-    chunks = _csv_chunks(universe)
-    header = next(chunks)  # every id is checked before the file is opened
+    ordered = sorted(universe, key=lambda s: s.instrument_id)
+    # ingest strips the whitespace around every field, so these ids would not read back
+    lost = [name for name in (s.instrument_id for s in ordered) if not name or name != name.strip()]
+    if lost:
+        raise ValueError(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
     with Path(path).open("w", encoding="utf-8") as f:
-        f.write(header)
-        f.writelines(chunks)
+        f.write(",".join(CSV_HEADER) + "\n")
+        if not ordered:
+            return
+        days = np.unique(np.concatenate([s.dates for s in ordered]))
+        iso = np.array([dt.date.fromordinal(_EPOCH + d).isoformat() for d in days.tolist()], dtype=object)
+        for series in ordered:
+            prefix = _csv_field(series.instrument_id) + ","
+            rows = zip(iso[np.searchsorted(days, series.dates)].tolist(), series.prices.tolist())
+            f.write("".join([f"{prefix}{date},{price!r}\n" for date, price in rows]))

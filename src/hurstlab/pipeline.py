@@ -255,7 +255,6 @@ class BucketReport:
     scheme: str
     rows: tuple[BucketRow, ...]
     benchmark_row: BucketRow
-    degenerate: bool
 
 
 def _bucket_row(label: str, forwards: np.ndarray, window: int) -> BucketRow:
@@ -273,5 +272,4 @@ def report(pool: ObservationPool, scheme: str = "quintile") -> BucketReport:
         _bucket_row(label, forwards[indices == i], pool.window) for i, label in enumerate(_LABELS[scheme])
     )
     benchmark = _bucket_row(ANY_LABEL, forwards, pool.window)
-    degenerate = any(row.count == 0 for row in rows)
-    return BucketReport(pool.window, pool.method, scheme, rows, benchmark, degenerate)
+    return BucketReport(pool.window, pool.method, scheme, rows, benchmark)

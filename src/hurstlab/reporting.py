@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from typing import Sequence
 
@@ -26,11 +25,6 @@ OBSERVATION_COLUMNS = (
     "suspect",
     "forward_log_return",
 )
-
-
-def _fmt9(x: float) -> str:
-    """Floats in data files carry 9 significant digits."""
-    return format(x, ".9g")
 
 
 def observations_csv(pool: ObservationPool) -> str:
@@ -93,10 +87,9 @@ def render_method_table(reports: Sequence[BucketReport]) -> str:
 
 
 def report_csv(rep: BucketReport) -> str:
-    """Report rows (buckets then the "any" row) as CSV text."""
-    buf = io.StringIO()
-    buf.write("bucket,count,annualized_return_pct\n")
+    """Report rows (buckets then the "any" row) as CSV text, returns with 9 significant digits."""
+    lines = ["bucket,count,annualized_return_pct\n"]
     for row in _all_rows(rep):
-        pct = "" if math.isnan(row.annualized_return) else _fmt9(row.annualized_return)
-        buf.write(f"{row.label},{row.count},{pct}\n")
-    return buf.getvalue()
+        pct = "" if math.isnan(row.annualized_return) else f"{row.annualized_return:.9g}"
+        lines.append(f"{row.label},{row.count},{pct}\n")
+    return "".join(lines)

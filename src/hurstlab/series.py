@@ -27,15 +27,17 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
-    if arr.ndim != 1:
-        raise ValueError("series data must be one-dimensional")
-    arr.flags.writeable = False
-    return arr
-
-
-def _check_dates(dates: np.ndarray) -> None:
+def _freeze(series, name: str) -> None:
+    """Store ``series.dates`` and ``series.<name>`` as read-only 1-D copies that pair up day by day."""
+    for attr, dtype in (("dates", np.int64), (name, np.float64)):
+        arr = np.array(getattr(series, attr), dtype=dtype, copy=True)
+        if arr.ndim != 1:
+            raise ValueError("series data must be one-dimensional")
+        arr.flags.writeable = False
+        object.__setattr__(series, attr, arr)
+    dates = series.dates
+    if len(dates) != len(getattr(series, name)):
+        raise ValueError(f"dates and {name} must have equal length")
     if len(dates) > 1 and not np.all(np.diff(dates) > 0):
         raise ValueError("dates must be strictly increasing with no duplicates")
 
@@ -49,11 +51,7 @@ class PriceSeries:
     prices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", _frozen_array(self.dates, np.int64))
-        object.__setattr__(self, "prices", _frozen_array(self.prices, np.float64))
-        if len(self.dates) != len(self.prices):
-            raise ValueError("dates and prices must have equal length")
-        _check_dates(self.dates)
+        _freeze(self, "prices")
         if not np.all(np.isfinite(self.prices)):
             raise NonFiniteInput(f"{self.instrument_id}: non-finite price")
         if np.any(self.prices <= 0.0):
@@ -72,11 +70,7 @@ class LogSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", _frozen_array(self.dates, np.int64))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        if len(self.dates) != len(self.values):
-            raise ValueError("dates and values must have equal length")
-        _check_dates(self.dates)
+        _freeze(self, "values")
 
     def __len__(self) -> int:
         return len(self.values)

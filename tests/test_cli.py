@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,14 @@ def _tree(path: Path) -> dict[str, bytes]:
 
 def _run(args) -> int:
     return main([str(a) for a in args])
+
+
+def _kept_out(tmp_path: Path) -> Path:
+    """An output directory holding one earlier file, which a failed run must leave alone."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("earlier file")
+    return out
 
 
 COHORT_ARGS = ["--synthetic-cohort", "--n", "18", "--len", "512", "--seed", "3"]
@@ -187,10 +196,52 @@ class TestRun:
             f.write(universe[0] + "\n")
             f.write("\n".join(ln for ln in universe[1:] if not ln.startswith("SYN002")) + "\n")
         out = tmp_path / "out"
-        code = _run(["run", "--input-dir", data, "--windows", "32", "--methods", "gm2", "--out", out])
+        code = _run(["run", "--input", data, "--windows", "32", "--methods", "gm2", "--out", out])
         assert code == 0
         lines = (out / "observations_gm2_w32.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * ((300 - 64) // 20 + 1)
+
+    def test_input_directory_gives_the_tree_of_its_file(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        assert _run(["synth", "--n", "6", "--len", "400", "--out", data / "u.csv"]) == 0
+        windows = ["--windows", "32,64"]
+        assert _run(["run", "--input", data / "u.csv", *windows, "--out", tmp_path / "file"]) == 0
+        assert _run(["run", "--input", data, *windows, "--out", tmp_path / "dir"]) == 0
+        tree = _tree(tmp_path / "file")
+        assert len(tree) == 18
+        assert tree == _tree(tmp_path / "dir")
+
+    def test_instrument_in_two_files_of_an_input_directory_fails(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        assert _run(["synth", "--n", "3", "--len", "300", "--out", data / "a.csv"]) == 0
+        lines = (data / "a.csv").read_text().splitlines(keepends=True)
+        (data / "b.csv").write_text(lines[0] + "".join(ln for ln in lines if ln.startswith("SYN001")))
+        out = _kept_out(tmp_path)
+        assert _run(["run", "--input", data, "--windows", "32", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: b.csv: instrument SYN001 appears in multiple files\n"
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bare", "quoted"])
+    def test_field_over_the_csv_size_limit_fails_with_an_error_line(self, tmp_path, capsys, quoted):
+        name = "A" * 140_000
+        field = f'"{name}"' if quoted else name
+        (tmp_path / "long.csv").write_text(f"instrument,date,price\n{field},2001-01-02,1\n")
+        out = _kept_out(tmp_path)
+        assert _run(["run", "--input", tmp_path / "long.csv", "--windows", "32", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: long.csv: field larger than field limit (131072)\n"
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+    def test_byte_that_is_not_utf8_fails_with_its_line_and_offset(self, tmp_path, capsys):
+        # 62 lines of 19 bytes after the 22-byte header; line 32's price starts at byte 22 + 30 * 19 + 16
+        lines = [f"ACME,{dt.date(2001, 1, 1) + dt.timedelta(days=i)},10\n".encode() for i in range(61)]
+        lines[30] = lines[30][:-3] + b"\xff0\n"
+        (tmp_path / "u.csv").write_bytes(b"instrument,date,price\n" + b"".join(lines))
+        out = _kept_out(tmp_path)
+        assert _run(["run", "--input", tmp_path / "u.csv", "--windows", "32", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: u.csv: line 32, byte 608: not UTF-8 (invalid start byte)\n"
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
 
     def test_ids_that_need_quoting_round_trip_through_observation_files(self, tmp_path):
         ids = ("BRK,A", 'X"Y', "ZED")

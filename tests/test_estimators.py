@@ -364,12 +364,12 @@ class TestRowLayouts:
             assert np.array_equal(matrix, before), name
         assert np.array_equal(walk, walk_before)
 
-    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
     def test_one_dimensional_input_names_its_shape(self, method):
         with pytest.raises(ValueError, match=r"got shape \(64,\)"):
             estimate_rows(method, np.cumsum(np.ones(64)))
 
-    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
     def test_zero_rows_give_empty_results(self, method):
         walk = np.cumsum(np.random.Generator(np.random.PCG64(2)).standard_normal(200))
         for empty in (np.empty((0, 64)), sliding_window_view(walk, 64)[5:5], sliding_window_view(walk, 64)[300::3]):

@@ -17,7 +17,6 @@ from hurstlab import (
     DuplicateInstrument,
     MalformedRow,
     NonPositivePrice,
-    emit_csv,
     generate_drifted_cohort,
     ingest_csv,
     ingest_dir,
@@ -89,8 +88,6 @@ def _result(read):
     """What ``read()`` returns: the universe, or the error's class and fields."""
     try:
         universe = read()
-    except csv.Error as exc:
-        return csv.Error, str(exc)
     except (MalformedRow, NonPositivePrice) as exc:
         return type(exc), str(exc), exc.line
     except DuplicateDate as exc:
@@ -99,9 +96,12 @@ def _result(read):
 
 
 def _through_csv_reader(path):
-    """``ingest_csv`` as it was before plain blocks skipped ``csv.reader``."""
+    """``ingest_csv`` with ``csv.reader`` reading every record, and its errors named after the file."""
     with path.open(newline="", encoding="utf-8-sig") as f:
-        return ingest_rows(csv.reader(f), source=path.name)
+        try:
+            return ingest_rows(csv.reader(f), source=path.name)
+        except csv.Error as exc:
+            raise MalformedRow(f"{path.name}: {exc}") from exc
 
 
 def _field(text, quoted):
@@ -268,7 +268,22 @@ class TestIngest:
         path = _write(tmp_path, "u.csv", f"instrument,date,price\n{'A' * length},2001-01-02,1\n")
         outcome = _result(lambda: ingest_csv(path))
         assert outcome == _result(lambda: _through_csv_reader(path))
-        assert (outcome[0] is csv.Error) == (length > 131072)
+        too_long = (MalformedRow, "u.csv: field larger than field limit (131072)", None)
+        assert (outcome == too_long) == (length > 131072)
+
+    @pytest.mark.parametrize("header", ["instrument,date,price\n", "\ufeffinstrument,date,price\r\n"],
+                             ids=["plain", "csv-reader-from-byte-0"])
+    def test_byte_that_is_not_utf8_is_located_in_the_file(self, tmp_path, header):
+        # 64-byte blocks: the plain split hands the file to csv.reader well before the bad byte
+        lines = [f"ACME,{dt.date(2001, 1, 1) + dt.timedelta(days=i)},10\n".encode() for i in range(61)]
+        lines[30] = lines[30][:-3] + b"1\xff\n"  # physical line 32
+        data = header.encode("utf-8") + b"".join(lines)
+        offset = data.index(b"\xff")
+        path = tmp_path / "u.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest_module, "_BLOCK_BYTES", 64), pytest.raises(MalformedRow) as err:
+            ingest_csv(path)
+        assert str(err.value) == f"u.csv: line 32, byte {offset}: not UTF-8 (invalid start byte)"
 
     def test_bad_record_beyond_two_chunks_reports_its_line(self, tmp_path):
         lines = ["instrument,date,price"]
@@ -339,13 +354,15 @@ class TestIngest:
         assert outcome == _outcome(reference_ingest_rows, text)
         assert isinstance(outcome, tuple) == duplicate
 
-    def test_peak_memory_stays_near_the_returned_arrays(self):
+    def test_peak_memory_stays_near_the_returned_arrays(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(10))
         universe = [
             PriceSeries(f"S{i:03d}", np.arange(2500), np.exp(np.cumsum(rng.normal(0, 0.01, 2500))))
             for i in range(80)
         ]
-        rows = list(csv.reader(io.StringIO(emit_csv(universe), newline="")))  # 200,001 rows, read before tracing
+        write_csv(universe, tmp_path / "u.csv")
+        with (tmp_path / "u.csv").open(newline="") as f:
+            rows = list(csv.reader(f))  # 200,001 rows, read before tracing
         tracemalloc.start()
         try:
             back = ingest_rows(rows)
@@ -396,8 +413,6 @@ class TestIngest:
     def test_ids_that_would_not_read_back_are_rejected(self, tmp_path, lost):
         # ingest strips the whitespace around fields: " A" would come back as "A"
         universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in ("A", lost, "BRK,A")]
-        with pytest.raises(ValueError, match=re.escape(repr(lost))):
-            emit_csv(universe)
         path = tmp_path / "u.csv"
         with pytest.raises(ValueError, match=re.escape(repr(lost))):
             write_csv(universe, path)
@@ -405,7 +420,8 @@ class TestIngest:
 
     def test_round_trip_reproduces_universe_exactly(self, tmp_path):
         cohort = generate_drifted_cohort(3, 16, [0.3, 0.7], {0.3: 0.0, 0.7: 1e-4}, seed=13)
-        path = _write(tmp_path, "u.csv", emit_csv(cohort))
+        path = tmp_path / "u.csv"
+        write_csv(cohort, path)
         back = ingest_csv(path)
         assert len(back) == len(cohort)
         for a, b in zip(cohort, back):

@@ -239,8 +239,7 @@ class TestBucketize:
         pool = _pool([0.5] * 25)
         assert set(bucketize(pool, "quintile").tolist()) == {QUINTILE_LABELS.index("very high")}
         rep = report(pool)
-        assert rep.degenerate
-        assert rep.rows[-1].count == 25
+        assert [row.count for row in rep.rows] == [0, 0, 0, 0, 25]
 
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
@@ -283,7 +282,7 @@ class TestReport:
     def test_counts_partition_into_any(self):
         rep = report(_grid_pool(100))
         assert sum(row.count for row in rep.rows) == rep.benchmark_row.count == 100
-        assert not rep.degenerate
+        assert [row.count for row in rep.rows] == [20] * 5
 
     def test_benchmark_matches_weighted_bucket_means(self):
         fwd_by_bucket = [0.00, 0.01, 0.02, 0.03, 0.05]
