@@ -88,8 +88,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
             raise ValueError(f"unknown dfa mode {self.dfa_mode!r}")
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
+        if not 0.0 < self.q < np.inf:
+            raise ValueError(f"q must be positive and finite, got {self.q}")
         if self.tau_max < 2:
             raise ValueError(f"tau_max must be >= 2, got {self.tau_max}")
         if 2 ** self.k_min < 4:
@@ -139,23 +139,23 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
     q = 2.0 if method is Method.DFA else 1.0
     partition = length - 1 if (method is Method.DFA and dfa_mode == DFA_MODE_PROFILE) else length
     k_max = max((length // 2).bit_length() - 1, 4)
-    while 2 ** k_max >= partition:
-        k_max -= 1
-    if k_max < 4:
+    if 2 ** k_max >= partition:
         raise SeriesTooShort(f"window of {length} points is too short for {method.value}")
     k_min = max(2, k_max - 3) if method is Method.GM2 else 2
     return EstimatorConfig(q=q, tau_max=min(19, length - 1), k_min=k_min, k_max=k_max, dfa_mode=dfa_mode)
 
 
-def _check_scales(cfg: EstimatorConfig, partition_length: int, label: str) -> None:
-    if 2 ** cfg.k_max >= partition_length:
-        raise SeriesTooShort(
-            f"{label}: largest block 2**{cfg.k_max} does not fit in {partition_length} points"
-        )
-    if partition_length < 2 ** (cfg.k_min + 2):
-        raise SeriesTooShort(
-            f"{label}: need at least {2 ** (cfg.k_min + 2)} points, got {partition_length}"
-        )
+def check_length(method: Method, cfg: EstimatorConfig, length: int) -> None:
+    """Raise ``SeriesTooShort`` unless ``cfg`` fits windows of ``length`` points: the one length rule."""
+    if method is Method.GHE:
+        if length <= cfg.tau_max:
+            raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {length}")
+        return
+    # DFA's profile mode detrends x[1:], one point fewer
+    partition = length - 1 if (method is Method.DFA and cfg.dfa_mode == DFA_MODE_PROFILE) else length
+    if 2 ** cfg.k_max >= partition:
+        label = method.value.lower()
+        raise SeriesTooShort(f"{label}: largest block 2**{cfg.k_max} does not fit in {partition} points")
 
 
 def _blocks(values: np.ndarray, m: int) -> np.ndarray:
@@ -259,20 +259,17 @@ def _mean_block_ranges(values: np.ndarray, scales) -> np.ndarray:
 
 def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig):
     """Scales, the ``(rows, scales)`` statistic, and which points to fit (None: all)."""
+    check_length(method, cfg, windows.shape[1])
     if method is Method.GHE:
-        if windows.shape[1] <= cfg.tau_max:
-            raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {windows.shape[1]}")
         taus, stat = _lag_moments(windows, cfg.q, cfg.tau_max)
         # lags whose statistic is exactly zero carry no scaling information
         return taus, stat, stat > 0.0
     scales = cfg.scales()
     windows = np.ascontiguousarray(windows)
     if method is Method.GM2:
-        _check_scales(cfg, windows.shape[1], "gm2")
         return np.array(scales), _mean_block_ranges(windows, scales), None
     # detrending absorbs the return profile's offset and mean-return ramp
     signal = windows[:, 1:] if cfg.dfa_mode == DFA_MODE_PROFILE else windows
-    _check_scales(cfg, signal.shape[1], "dfa")
     return np.array(scales), _detrended_fluctuations(signal, scales, cfg.q), None
 
 
@@ -298,7 +295,7 @@ def estimate_rows(
     from ``cfg``, which defaults to ``default_config(method, length)``.  A
     row whose statistic or fit is degenerate holds NaN in ``h`` and its
     error in ``fits.errors``, with the message the one-row estimator
-    raises; a length too short for ``cfg`` raises for the whole matrix.
+    raises; a length ``check_length`` rejects for ``cfg`` raises for the whole matrix.
     ``windows`` may be any 2-D float array: a C-contiguous matrix, or a
     view whose rows are overlapping windows of one series, such as
     ``sliding_window_view(x, n)[::step]``.  GHE reads such a view in place

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
-from .estimators import EstimatorConfig, Method, default_config, estimate_rows, is_suspect
+from .estimators import EstimatorConfig, Method, check_length, default_config, estimate_rows, is_suspect
 from .series import PriceSeries, to_log_prices
 
 __all__ = [
@@ -57,7 +57,10 @@ _LABELS = {"quintile": QUINTILE_LABELS, "tail": TAIL_LABELS}
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """One scan's geometry and estimator selection."""
+    """One scan's geometry and estimator configs, each checked against ``window`` when built.
+
+    ``configs`` ends up holding one config per method: the one given, else its default.
+    """
 
     window: int
     roll_step: int = 20
@@ -74,11 +77,11 @@ class ScanSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("each method may appear only once")
-
-    def config_for(self, method: Method) -> EstimatorConfig:
-        if self.configs is not None and method in self.configs:
-            return self.configs[method]
-        return default_config(method, self.window)
+        given = self.configs or {}
+        configs = {m: given[m] if m in given else default_config(m, self.window) for m in self.methods}
+        for method, cfg in configs.items():
+            check_length(method, cfg, self.window)
+        object.__setattr__(self, "configs", configs)
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,10 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     log prices, and every method estimates all of its rows in one call;
     the rows it keeps extend that method's pool.  Instruments are taken in
     id order and window ends ascend, so each pool is in canonical order
-    without a sort.  Estimator failures at a position skip that (position,
-    method) pair and are tallied as diagnostics; series too short for even
-    one observation produce a single diagnostic.  Instrument ids must be
-    unique.
+    without a sort.  The spec has checked each config against the window,
+    so an estimator fails one row at a time: that (position, method) pair
+    is skipped and tallied as a diagnostic.  A series too short for even
+    one observation gives a single diagnostic.  Ids must be unique.
     """
     series_list = sorted(universe, key=lambda s: s.instrument_id)
     if not series_list:
@@ -163,7 +166,6 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
             raise DuplicateInstrument(
                 f"instrument {a.instrument_id} appears more than once in the universe", a.instrument_id
             )
-    configs = {method: spec.config_for(method) for method in spec.methods}
     empty = (np.empty(0, object), np.empty(0, np.int64), np.empty(0), np.empty(0))
     columns = {method: [empty] for method in spec.methods}  # (id, window end, h, forward) parts
     diagnostics: list[Diagnostic] = []
@@ -186,17 +188,12 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
         window_ends = log.dates[ends]
         failed = []
         for k, method in enumerate(spec.methods):
-            try:
-                h, fits = estimate_rows(method, windows, configs[method])
-            except HurstLabError as exc:
-                h, errors = np.full(len(ends), np.nan), dict.fromkeys(range(len(ends)), exc)
-            else:
-                errors = fits.errors
+            h, fits = estimate_rows(method, windows, spec.configs[method])
             keep = np.ones(len(ends), dtype=bool)
-            keep[list(errors)] = False
+            keep[list(fits.errors)] = False
             ids = np.full(keep.sum(), series.instrument_id, dtype=object)
             columns[method].append((ids, window_ends[keep], h[keep], forwards[keep]))
-            failed += [(i, k, errors[i]) for i in errors]
+            failed += [(i, k, exc) for i, exc in fits.errors.items()]
         for i, k, exc in sorted(failed, key=lambda f: f[:2]):  # by window end, then method
             end = int(window_ends[i])
             diagnostics.append(Diagnostic(series.instrument_id, end, spec.methods[k], str(exc)))

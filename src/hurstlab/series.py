@@ -150,14 +150,17 @@ def fit_rows(x, y, keep=None) -> RowFits:
         ss_tot = (dy * dy).sum(axis=1)
         r_squared = np.minimum(1.0, np.maximum(0.0, np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)))
     errors: dict[int, HurstLabError] = {}
-    # each failure below leaves a non-finite slope
-    for i in np.flatnonzero(~np.isfinite(slope)).tolist():
+    # each failure below leaves a non-finite slope or sum of squares
+    for i in np.flatnonzero(~(np.isfinite(slope) & np.isfinite(sxx))).tolist():
         if not (np.isfinite(x[i] if x.ndim == 2 else x).all() and np.isfinite(y[i]).all()):
             errors[i] = NonFiniteInput("regression input contains NaN or infinity")
         elif n[i] < 2:
             errors[i] = DegenerateRegression(f"need at least 2 points, got {n[i]}")
         elif sxx[i] == 0.0:
             errors[i] = DegenerateRegression("all x values identical")
+        else:
+            slope[i] = np.nan
+            errors[i] = NonFiniteInput("regression sums overflow float64")
     return RowFits(slope, intercept, r_squared, n, errors)
 
 

@@ -56,8 +56,8 @@ class FbmSpec:
             raise InvalidH(f"h must lie in (0, 1), got {self.h}")
         if self.length < 8:
             raise ValueError(f"length must be >= 8, got {self.length}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 def fgn_autocovariance(h: float, lags, scale: float = 1.0) -> np.ndarray:

@@ -119,13 +119,18 @@ class TestRun:
         assert raw != prof  # the switch changes the detrended signal
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            _run(["run", "--synthetic-cohort", "--methods", "rs", "--windows", "32", "--out", tmp_path / "o"])
+        for methods in ("rs", ","):
+            with pytest.raises(SystemExit) as exit_info:
+                _run(["run", "--synthetic-cohort", "--methods", methods, "--out", tmp_path / "o"])
+            assert exit_info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_window_fails_cleanly(self, tmp_path, capsys):
-        code = _run(["run", *COHORT_ARGS, "--windows", "16", "--methods", "ghe", "--out", tmp_path / "o"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for windows in ("16", ","):
+            args = ["run", *COHORT_ARGS, "--windows", windows, "--methods", "ghe", "--out", tmp_path / "o"]
+            assert _run(args) == 1
+            assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_group_leaves_out_dir_untouched(self, tmp_path, capsys):
         # 600 days give window 32 its groups but leave w512 without observations
@@ -140,11 +145,11 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     @pytest.mark.parametrize("override, error", [
-        (["--methods", "ghe", "--tau-max", "40"], "ghe_w32: quintile bucketing needs >= 20 observations, got 0"
-         " (first skip: ghe: need more than tau_max=40 points, got 32)"),
-        (["--methods", "gm2", "--k-max", "9"], "gm2_w32: quintile bucketing needs >= 20 observations, got 0"
-         " (first skip: gm2: largest block 2**9 does not fit in 32 points)"),
-    ], ids=["ghe-tau-max", "gm2-k-max"])
+        (["--methods", "ghe", "--tau-max", "40"], "ghe: need more than tau_max=40 points, got 32"),
+        (["--methods", "gm2", "--k-max", "9"], "gm2: largest block 2**9 does not fit in 32 points"),
+        (["--q", "nan"], "q must be positive and finite, got nan"),
+        (["--q", "inf"], "q must be positive and finite, got inf"),
+    ], ids=["ghe-tau-max", "gm2-k-max", "q-nan", "q-inf"])
     def test_unsatisfiable_override_names_its_cause(self, tmp_path, capsys, override, error):
         out = tmp_path / "out"
         out.mkdir()
@@ -155,6 +160,14 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_empty_input_file_fails_cleanly(self, tmp_path, capsys):
+        write_csv([], tmp_path / "empty.csv")
+        out = tmp_path / "out"
+        code = _run(["run", "--input", tmp_path / "empty.csv", "--windows", "32", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: scan requires at least one price series\n"
+        assert not out.exists()
 
     def test_overflowing_annualized_return_fails_cleanly(self, tmp_path, capsys):
         # 25 of 40 instruments jump by a factor of 1e300 on day 100: a window's

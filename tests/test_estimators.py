@@ -24,7 +24,7 @@ from hurstlab import (
     ghe,
     gm2,
 )
-from hurstlab.estimators import HEstimate, _block_ramp, _blocks, _lag_moments, estimate_rows
+from hurstlab.estimators import HEstimate, _block_ramp, _blocks, _lag_moments, check_length, estimate_rows
 
 
 def _series(values, name="X"):
@@ -44,6 +44,9 @@ class TestConfig:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             EstimatorConfig(q=0.0)
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="q must be positive and finite"):
+                EstimatorConfig(q=q)
         with pytest.raises(ValueError):
             EstimatorConfig(tau_max=1)
         with pytest.raises(ValueError):
@@ -62,6 +65,38 @@ class TestConfig:
     def test_too_short_window(self):
         with pytest.raises(SeriesTooShort):
             default_config(Method.GM2, 12)
+
+    @pytest.mark.parametrize("method, mode, shortest", [
+        (Method.GHE, DFA_MODE_PROFILE, 17),
+        (Method.GM2, DFA_MODE_PROFILE, 17),
+        (Method.DFA, DFA_MODE_RAW, 17),
+        (Method.DFA, DFA_MODE_PROFILE, 18),  # detrends x[1:]
+    ])
+    def test_default_config_raises_below_its_shortest_length(self, method, mode, shortest):
+        # lengths 0 and 1 included: they must raise, not loop
+        for length in range(shortest):
+            with pytest.raises(SeriesTooShort, match=f"window of {length} points is too short"):
+                default_config(method, length, mode)
+        check_length(method, default_config(method, shortest, mode), shortest)
+
+    @pytest.mark.parametrize("estimator", [ghe, dfa, gm2])
+    def test_empty_series_is_too_short(self, estimator):
+        with pytest.raises(SeriesTooShort):
+            estimator(_series([]))
+
+    def test_length_rule(self):
+        check_length(Method.GHE, EstimatorConfig(tau_max=19), 20)
+        with pytest.raises(SeriesTooShort, match=r"^ghe: need more than tau_max=19 points, got 19$"):
+            check_length(Method.GHE, EstimatorConfig(tau_max=19), 19)
+        # GHE reads no blocks, so k_max does not bind it
+        check_length(Method.GHE, EstimatorConfig(k_max=8), 20)
+        cfg = EstimatorConfig(k_max=5)
+        check_length(Method.GM2, cfg, 33)
+        with pytest.raises(SeriesTooShort, match=r"^gm2: largest block 2\*\*5 does not fit in 32 points$"):
+            check_length(Method.GM2, cfg, 32)
+        check_length(Method.DFA, replace(cfg, dfa_mode=DFA_MODE_RAW), 33)
+        with pytest.raises(SeriesTooShort, match=r"^dfa: largest block 2\*\*5 does not fit in 32 points$"):
+            check_length(Method.DFA, cfg, 33)
 
     @pytest.mark.parametrize("length", [*range(17, 41), 64])
     def test_no_config_means_default_config(self, length):

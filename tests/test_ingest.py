@@ -429,6 +429,12 @@ class TestIngest:
             assert np.array_equal(a.dates, b.dates)
             assert np.array_equal(a.prices, b.prices)
 
+    def test_empty_universe_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv([], path)
+        assert path.read_text() == "instrument,date,price\n"
+        assert ingest_csv(path) == []
+
 
 class TestIngestDir:
     def test_merges_files(self, tmp_path):

@@ -11,6 +11,7 @@ from hurstlab import (
     DFA_MODE_RAW,
     DuplicateInstrument,
     EmptyUniverse,
+    EstimatorConfig,
     FbmSpec,
     HurstLabError,
     LogSeries,
@@ -19,6 +20,7 @@ from hurstlab import (
     PriceSeries,
     QUINTILE_LABELS,
     ScanSpec,
+    SeriesTooShort,
     TAIL_LABELS,
     Diagnostic,
     TooFewObservations,
@@ -154,7 +156,7 @@ class TestScanGeometry:
             signal = window.values[1:]
             dfa_zero = any(
                 np.all(blocks == blocks[:, :1])
-                for m in spec.config_for(Method.DFA).scales()
+                for m in spec.configs[Method.DFA].scales()
                 for blocks in [signal[: len(signal) // m * m].reshape(-1, m)]
             )
             flat += is_flat
@@ -162,7 +164,7 @@ class TestScanGeometry:
             for method in spec.methods:
                 predicted = is_flat or (method is Method.DFA and dfa_zero)
                 try:
-                    alone = estimate(method, window, spec.config_for(method))
+                    alone = estimate(method, window, spec.configs[method])
                 except HurstLabError as exc:
                     assert predicted
                     assert skipped[(t, method)] == str(exc)
@@ -198,6 +200,24 @@ class TestScanGeometry:
             ScanSpec(window=32, roll_step=0)
         with pytest.raises(ValueError):
             ScanSpec(window=32, methods=())
+
+    def test_spec_resolves_one_config_per_method(self):
+        tight = EstimatorConfig(tau_max=9)
+        # a config for a method the spec does not run is dropped
+        configs = {Method.GHE: tight, Method.DFA: tight}
+        spec = ScanSpec(window=64, methods=(Method.GM2, Method.GHE), configs=configs)
+        assert spec.configs == {Method.GM2: default_config(Method.GM2, 64), Method.GHE: tight}
+        assert ScanSpec(window=64).configs == {m: default_config(m, 64) for m in Method}
+
+    @pytest.mark.parametrize("method, cfg, error", [
+        (Method.GHE, EstimatorConfig(tau_max=40), "ghe: need more than tau_max=40 points, got 32"),
+        (Method.GM2, EstimatorConfig(k_min=4, k_max=9), "gm2: largest block 2**9 does not fit in 32 points"),
+        (Method.DFA, EstimatorConfig(q=2.0, k_max=5), "dfa: largest block 2**5 does not fit in 31 points"),
+    ], ids=["ghe", "gm2", "dfa"])
+    def test_spec_that_cannot_fit_its_window_raises_when_built(self, method, cfg, error):
+        with pytest.raises(SeriesTooShort) as err:
+            ScanSpec(window=32, methods=(method,), configs={method: cfg})
+        assert str(err.value) == error
 
     def test_repeated_method_rejected(self):
         # each method fills one pool, so a repeat has nowhere to go
@@ -389,7 +409,7 @@ class TestColumnarScanOracle:
                 for method in spec.methods:
                     end = int(series.dates[t])
                     try:
-                        alone = one_row[method](window, spec.config_for(method))
+                        alone = one_row[method](window, spec.configs[method])
                     except HurstLabError as exc:
                         diagnostics.append(Diagnostic(series.instrument_id, end, method, str(exc)))
                         continue

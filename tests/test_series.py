@@ -11,6 +11,7 @@ from hurstlab import (
     ols_slope_xy,
     to_log_prices,
 )
+from hurstlab.series import fit_rows
 
 
 def _prices(values, name="TEST"):
@@ -122,3 +123,14 @@ class TestOlsSlope:
             ols_slope_xy([0.0, 1.0], [1.0, math.nan])
         with pytest.raises(NonFiniteInput):
             ols_slope_xy([0.0, math.inf], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, y, failed", [
+        ([0.0, 1.0, 2.0], [1e308] * 3, [1]),  # the sum of y overflows: slope NaN
+        ([0.0, 1e200, 2e200], [0.0, 1.0, 2.0], [0, 1]),  # the shared sxx overflows: slope 0.0
+    ])
+    def test_overflowing_sums_raise(self, x, y, failed):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            ols_slope_xy(x, y)
+        fits = fit_rows(x, np.array([[0.0, 1.0, 2.0], y]))
+        assert sorted(fits.errors) == failed
+        assert np.isnan(fits.slope[failed]).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hurstlab import FbmSpec, InvalidH, fgn_autocovariance, generate_drifted_cohort, generate_fbm
+from hurstlab import synthetic
 from hurstlab.synthetic import _circulant_roots, _fgn_circulant, _fgn_hosking
 
 DRIFTS = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
@@ -18,8 +19,9 @@ class TestFbmSpec:
     def test_invalid_length_and_scale(self):
         with pytest.raises(ValueError):
             FbmSpec(h=0.5, length=4, seed=1)
-        with pytest.raises(ValueError):
-            FbmSpec(h=0.5, length=64, seed=1, scale=0.0)
+        for scale in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                FbmSpec(h=0.5, length=64, seed=1, scale=scale)
 
 
 class TestGenerateFbm:
@@ -93,6 +95,13 @@ class TestGenerateFbm:
         # back to the sequential recursion there
         rng = np.random.Generator(np.random.PCG64(0))
         assert _fgn_circulant(262143, 0.999, 1.0, rng) is None
+
+    def test_failed_embedding_falls_back_to_the_recursion(self, monkeypatch):
+        spec = FbmSpec(h=0.7, length=64, seed=11, scale=0.5)
+        monkeypatch.setattr(synthetic, "_circulant_roots", lambda n, h, scale: None)
+        path = generate_fbm(spec)
+        noise = _fgn_hosking(63, spec.h, spec.scale, np.random.Generator(np.random.PCG64(spec.seed)))
+        assert path.values.tobytes() == np.concatenate([[0.0], np.cumsum(noise)]).tobytes()
 
     @pytest.mark.parametrize("h,seed", [(0.3, 777), (0.7, 777)])
     def test_stationary_increments_across_halves(self, h, seed):
