@@ -124,11 +124,11 @@ def is_suspect(h):
 def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE) -> EstimatorConfig:
     """Default configuration for a window of ``length`` points; the only source of defaults.
 
-    It stores ``dfa_mode``.  GHE's ``tau_max`` is 19, or ``length - 1``
-    on shorter windows.  ``k_max`` is the largest k with ``2**k <= length
-    / 2``.  DFA keeps every dyadic scale from ``k_min = 2`` up (the
-    coarsest may cover a single block of the detrended signal, which
-    costs variance but no bias).  GM2 drops scales below
+    GHE's ``tau_max`` is 19, or ``length - 1`` (at least 2) on shorter
+    windows, and ``k_max`` the largest k with ``2**k <= length / 2``, at
+    least 4; ``check_length``'s error is raised where no valid config fits.
+    DFA keeps every dyadic scale from ``k_min = 2`` up (the coarsest may
+    cover a single block, which costs variance but no bias).  GM2 drops scales below
     ``2**(k_max - 3)``: the mean block range of a sampled path sits below
     its continuum scaling law by a near-constant deficit, which at small
     block sizes inflates the log-log slope, so the small scales carry
@@ -137,12 +137,12 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
     0.05 of H from 8192 points (blocks of 512-4096).
     """
     q = 2.0 if method is Method.DFA else 1.0
-    partition = length - 1 if (method is Method.DFA and dfa_mode == DFA_MODE_PROFILE) else length
+    tau_max = max(2, min(19, length - 1))
     k_max = max((length // 2).bit_length() - 1, 4)
-    if 2 ** k_max >= partition:
-        raise SeriesTooShort(f"window of {length} points is too short for {method.value}")
     k_min = max(2, k_max - 3) if method is Method.GM2 else 2
-    return EstimatorConfig(q=q, tau_max=min(19, length - 1), k_min=k_min, k_max=k_max, dfa_mode=dfa_mode)
+    cfg = EstimatorConfig(q=q, tau_max=tau_max, k_min=k_min, k_max=k_max, dfa_mode=dfa_mode)
+    check_length(method, cfg, length)
+    return cfg
 
 
 def check_length(method: Method, cfg: EstimatorConfig, length: int) -> None:
@@ -152,7 +152,7 @@ def check_length(method: Method, cfg: EstimatorConfig, length: int) -> None:
             raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {length}")
         return
     # DFA's profile mode detrends x[1:], one point fewer
-    partition = length - 1 if (method is Method.DFA and cfg.dfa_mode == DFA_MODE_PROFILE) else length
+    partition = max(length - 1, 0) if (method is Method.DFA and cfg.dfa_mode == DFA_MODE_PROFILE) else length
     if 2 ** cfg.k_max >= partition:
         label = method.value.lower()
         raise SeriesTooShort(f"{label}: largest block 2**{cfg.k_max} does not fit in {partition} points")
@@ -292,10 +292,10 @@ def estimate_rows(
     """Exponent and log-log fit of every row of a ``(rows, length)`` matrix of log prices.
 
     Returns ``(h, fits)``.  Every setting, DFA's mode included, comes
-    from ``cfg``, which defaults to ``default_config(method, length)``.  A
-    row whose statistic or fit is degenerate holds NaN in ``h`` and its
-    error in ``fits.errors``, with the message the one-row estimator
-    raises; a length ``check_length`` rejects for ``cfg`` raises for the whole matrix.
+    from ``cfg``, by default ``default_config(method, length)``.  A row
+    whose statistic or fit is degenerate holds NaN in ``h`` and its error
+    in ``fits.errors``, with the message the one-row estimator raises; a
+    length that ``check_length`` rejects for the config raises for the whole matrix.
     ``windows`` may be any 2-D float array: a C-contiguous matrix, or a
     view whose rows are overlapping windows of one series, such as
     ``sliding_window_view(x, n)[::step]``.  GHE reads such a view in place

@@ -254,6 +254,8 @@ def _add_plain_blocks(columns: _Columns, f: BinaryIO) -> int:
     while data := f.read(_BLOCK_BYTES):
         tail += data
         cut = tail.rfind(b"\n") + 1
+        if not cut:  # no record ends in this read; growing the tail read by read would be quadratic
+            break
         block, tail = tail[:cut], tail[cut:]
         records = block.count(b"\n")
         if block.translate(None, _PRINTABLE) != b",,\n" * records:

@@ -59,17 +59,15 @@ _LABELS = {"quintile": QUINTILE_LABELS, "tail": TAIL_LABELS}
 class ScanSpec:
     """One scan's geometry and estimator configs, each checked against ``window`` when built.
 
-    ``configs`` ends up holding one config per method: the one given, else its default.
+    ``configs`` keeps a copy of those given; ``scan`` derives the others' defaults for ``window``.
     """
 
     window: int
     roll_step: int = 20
     methods: tuple[Method, ...] = (Method.GHE, Method.DFA, Method.GM2)
-    configs: Mapping[Method, EstimatorConfig] | None = None
+    configs: Mapping[Method, EstimatorConfig] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.window < 32:
-            raise ValueError(f"window must be >= 32, got {self.window}")
         if self.roll_step < 1:
             raise ValueError(f"roll_step must be >= 1, got {self.roll_step}")
         if not self.methods:
@@ -77,11 +75,12 @@ class ScanSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("each method may appear only once")
-        given = self.configs or {}
-        configs = {m: given[m] if m in given else default_config(m, self.window) for m in self.methods}
-        for method, cfg in configs.items():
-            check_length(method, cfg, self.window)
-        object.__setattr__(self, "configs", configs)
+        object.__setattr__(self, "configs", dict(self.configs))
+        for method in self.methods:
+            if method in self.configs:
+                check_length(method, self.configs[method], self.window)
+            else:
+                default_config(method, self.window)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
         window_ends = log.dates[ends]
         failed = []
         for k, method in enumerate(spec.methods):
-            h, fits = estimate_rows(method, windows, spec.configs[method])
+            h, fits = estimate_rows(method, windows, spec.configs.get(method))
             keep = np.ones(len(ends), dtype=bool)
             keep[list(fits.errors)] = False
             ids = np.full(keep.sum(), series.instrument_id, dtype=object)

@@ -25,7 +25,7 @@ Randomness comes from numpy's PCG64 generator seeded with the spec's
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,16 +162,14 @@ def generate_drifted_cohort(
     h_values = tuple(float(h) for h in h_values)
     if not h_values:
         raise ValueError("h_values must be non-empty")
-    for h in h_values:
-        if not 0.0 < h < 1.0:
-            raise InvalidH(f"h must lie in (0, 1), got {h}")
+    specs = {h: FbmSpec(h=h, length=length, seed=0, scale=scale) for h in h_values}  # checks each h
     seeder = np.random.Generator(np.random.PCG64(seed))
     t = np.arange(length, dtype=np.float64)
     cohort = []
     for i in range(n_series):
         h = h_values[i % len(h_values)]
         sub_seed = int(seeder.integers(0, 2 ** 63, dtype=np.int64))
-        path = generate_fbm(FbmSpec(h=h, length=length, seed=sub_seed, scale=scale))
+        path = generate_fbm(replace(specs[h], seed=sub_seed))
         prices = np.exp(path.values + float(drift_per_h[h]) * t)
         cohort.append(PriceSeries(f"SYN{i:03d}", np.arange(length), prices))
     return cohort

@@ -126,11 +126,22 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_window_fails_cleanly(self, tmp_path, capsys):
-        for windows in ("16", ","):
+        # GHE's defaults fit from 3 points
+        for windows in ("2", ","):
             args = ["run", *COHORT_ARGS, "--windows", windows, "--methods", "ghe", "--out", tmp_path / "o"]
             assert _run(args) == 1
             assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_short_window_is_judged_by_each_method(self, tmp_path, capsys):
+        args = ["run", *COHORT_ARGS, "--windows", "16", "--out", tmp_path / "o"]
+        assert _run(args) == 1
+        assert capsys.readouterr().err == "error: dfa: largest block 2**4 does not fit in 15 points\n"
+        assert list(tmp_path.iterdir()) == []
+        assert _run([*args[:-2], "--methods", "ghe", "--out", tmp_path / "o"]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "observations_ghe_w16.csv", "quintile_ghe_w16.txt", "tail_ghe_w16.txt"
+        ]
 
     def test_failed_group_leaves_out_dir_untouched(self, tmp_path, capsys):
         # 600 days give window 32 its groups but leave w512 without observations

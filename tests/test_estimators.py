@@ -67,17 +67,59 @@ class TestConfig:
             default_config(Method.GM2, 12)
 
     @pytest.mark.parametrize("method, mode, shortest", [
-        (Method.GHE, DFA_MODE_PROFILE, 17),
+        (Method.GHE, DFA_MODE_PROFILE, 3),  # reads lags, not blocks
         (Method.GM2, DFA_MODE_PROFILE, 17),
         (Method.DFA, DFA_MODE_RAW, 17),
         (Method.DFA, DFA_MODE_PROFILE, 18),  # detrends x[1:]
     ])
     def test_default_config_raises_below_its_shortest_length(self, method, mode, shortest):
-        # lengths 0 and 1 included: they must raise, not loop
+        # lengths 0 and 1 included: they must raise, not loop; the messages are check_length's
         for length in range(shortest):
-            with pytest.raises(SeriesTooShort, match=f"window of {length} points is too short"):
+            if method is Method.GHE:
+                message = f"ghe: need more than tau_max=2 points, got {length}"
+            else:
+                # x[1:] of an empty window is empty, not -1 points long
+                partition = max(length - 1, 0) if shortest == 18 else length
+                message = f"{method.value.lower()}: largest block 2**4 does not fit in {partition} points"
+            with pytest.raises(SeriesTooShort) as err:
                 default_config(method, length, mode)
+            assert str(err.value) == message
         check_length(method, default_config(method, shortest, mode), shortest)
+
+    @pytest.mark.parametrize("method, mode", [
+        (Method.GHE, DFA_MODE_PROFILE),
+        (Method.GM2, DFA_MODE_PROFILE),
+        (Method.DFA, DFA_MODE_RAW),
+        (Method.DFA, DFA_MODE_PROFILE),
+    ])
+    def test_default_config_raises_only_where_check_length_does(self, method, mode):
+        for length in range(41):
+            # the config the docstring derives, whether or not it fits
+            k_max = max((length // 2).bit_length() - 1, 4)
+            derived = EstimatorConfig(
+                q=2.0 if method is Method.DFA else 1.0,
+                tau_max=max(2, min(19, length - 1)),
+                k_min=max(2, k_max - 3) if method is Method.GM2 else 2,
+                k_max=k_max,
+                dfa_mode=mode,
+            )
+            rejection = _rejection(method, derived, length)
+            try:
+                assert default_config(method, length, mode) == derived and rejection is None, length
+            except SeriesTooShort as exc:
+                assert str(exc) == rejection, length
+            # so it raises exactly where no valid config of the method fits
+            valid = [
+                EstimatorConfig(tau_max=tau_max, k_max=k_max, dfa_mode=mode)
+                for tau_max in range(2, 21) for k_max in range(4, 7)
+            ]
+            fits = any(_rejection(method, cfg, length) is None for cfg in valid)
+            assert fits == (rejection is None), length
+
+    def test_default_ghe_fits_short_series(self):
+        x = _series(np.cumsum(np.random.Generator(np.random.PCG64(10)).standard_normal(10)))
+        assert ghe(x) == ghe(x, EstimatorConfig(tau_max=9))
+        assert ghe(x).fit.n_points == 9
 
     @pytest.mark.parametrize("estimator", [ghe, dfa, gm2])
     def test_empty_series_is_too_short(self, estimator):
@@ -113,6 +155,15 @@ class TestConfig:
         assert _outcome(lambda: estimate_rows(Method.DFA, windows, raw())) == _outcome(
             lambda: estimate_rows(Method.DFA, leading, replace(raw(), dfa_mode=DFA_MODE_PROFILE))
         )
+
+
+def _rejection(method, cfg, length):
+    """``check_length``'s message for ``cfg`` at ``length``, or None when it fits."""
+    try:
+        check_length(method, cfg, length)
+    except SeriesTooShort as exc:
+        return str(exc)
+    return None
 
 
 def _outcome(run):

@@ -180,6 +180,16 @@ def mostly_plain_csv_files(draw):
     return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
+class _CountingReader(io.BytesIO):
+    """An in-memory binary file that counts its ``read`` calls."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
 class TestIngest:
     def test_three_row_single_instrument(self, tmp_path):
         path = _write(
@@ -270,6 +280,18 @@ class TestIngest:
         assert outcome == _result(lambda: _through_csv_reader(path))
         too_long = (MalformedRow, "u.csv: field larger than field limit (131072)", None)
         assert (outcome == too_long) == (length > 131072)
+
+    def test_record_longer_than_a_read_leaves_the_split_after_one_read(self, tmp_path):
+        # growing the unsplit tail read by read would make such a file quadratic to reject
+        header, body = b"instrument,date,price\n", b"A" * (3 * ingest_module._BLOCK_BYTES)
+        f = _CountingReader(header + body)
+        f.seek(len(header))
+        assert ingest_module._add_plain_blocks(ingest_module._Columns("u.csv"), f) == 2
+        assert (f.reads, f.tell()) == (1, len(header))
+        path = tmp_path / "u.csv"
+        path.write_bytes(header + body)
+        with pytest.raises(MalformedRow, match=r"^u\.csv: field larger than field limit \(131072\)$"):
+            ingest_csv(path)
 
     @pytest.mark.parametrize("header", ["instrument,date,price\n", "\ufeffinstrument,date,price\r\n"],
                              ids=["plain", "csv-reader-from-byte-0"])

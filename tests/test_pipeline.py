@@ -156,7 +156,7 @@ class TestScanGeometry:
             signal = window.values[1:]
             dfa_zero = any(
                 np.all(blocks == blocks[:, :1])
-                for m in spec.configs[Method.DFA].scales()
+                for m in default_config(Method.DFA, 32).scales()
                 for blocks in [signal[: len(signal) // m * m].reshape(-1, m)]
             )
             flat += is_flat
@@ -164,7 +164,7 @@ class TestScanGeometry:
             for method in spec.methods:
                 predicted = is_flat or (method is Method.DFA and dfa_zero)
                 try:
-                    alone = estimate(method, window, spec.configs[method])
+                    alone = estimate(method, window, spec.configs.get(method))
                 except HurstLabError as exc:
                     assert predicted
                     assert skipped[(t, method)] == str(exc)
@@ -194,20 +194,42 @@ class TestScanGeometry:
         assert result.pools[Method.DFA].h.min() > -2.0
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        # no window floor of its own: GHE fits 16 points, DFA's four dyadic scales do not
+        ScanSpec(window=16, methods=(Method.GHE,))
+        with pytest.raises(SeriesTooShort, match=r"^dfa: largest block 2\*\*4 does not fit in 15 points$"):
             ScanSpec(window=16)
         with pytest.raises(ValueError):
             ScanSpec(window=32, roll_step=0)
         with pytest.raises(ValueError):
             ScanSpec(window=32, methods=())
 
-    def test_spec_resolves_one_config_per_method(self):
+    def test_spec_keeps_the_configs_it_is_given(self):
         tight = EstimatorConfig(tau_max=9)
-        # a config for a method the spec does not run is dropped
+        # a config for a method the spec does not run is kept but not checked (DFA's k_max=8 needs 258 points)
         configs = {Method.GHE: tight, Method.DFA: tight}
         spec = ScanSpec(window=64, methods=(Method.GM2, Method.GHE), configs=configs)
-        assert spec.configs == {Method.GM2: default_config(Method.GM2, 64), Method.GHE: tight}
-        assert ScanSpec(window=64).configs == {m: default_config(m, 64) for m in Method}
+        configs.clear()
+        assert spec.configs == {Method.GHE: tight, Method.DFA: tight}
+        assert ScanSpec(window=64).configs == {}
+        # a method without a config scans with its default
+        universe = _walk_universe(3, 300, seed=5)
+        resolved = {Method.GM2: default_config(Method.GM2, 64), Method.GHE: tight}
+        assert scan(universe, spec) == scan(universe, replace(spec, configs=resolved))
+
+    def test_replaced_window_derives_its_own_defaults(self):
+        universe = _walk_universe(4, 1200, seed=9)
+        resized = replace(ScanSpec(window=32), window=512)
+        assert resized.configs == {}
+        ours, theirs = scan(universe, resized), scan(universe, ScanSpec(window=512))
+        assert ours == theirs and len(ours.pools[Method.DFA]) == 36
+        assert all(ours.pools[m].h.tobytes() == theirs.pools[m].h.tobytes() for m in Method)
+        # a given config survives replace and is checked against the new window
+        wide = {Method.GHE: EstimatorConfig(tau_max=40)}
+        spec = replace(ScanSpec(window=64, methods=(Method.GHE,), configs=wide), window=512)
+        assert spec.configs == wide
+        assert scan(universe, spec) == scan(universe, ScanSpec(window=512, methods=(Method.GHE,), configs=wide))
+        with pytest.raises(SeriesTooShort, match=r"^ghe: need more than tau_max=40 points, got 32$"):
+            replace(spec, window=32)
 
     @pytest.mark.parametrize("method, cfg, error", [
         (Method.GHE, EstimatorConfig(tau_max=40), "ghe: need more than tau_max=40 points, got 32"),
@@ -409,7 +431,7 @@ class TestColumnarScanOracle:
                 for method in spec.methods:
                     end = int(series.dates[t])
                     try:
-                        alone = one_row[method](window, spec.configs[method])
+                        alone = one_row[method](window, spec.configs.get(method))
                     except HurstLabError as exc:
                         diagnostics.append(Diagnostic(series.instrument_id, end, method, str(exc)))
                         continue
