@@ -143,6 +143,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     windows = sorted(set(args.windows))
     if not windows:
         raise HurstLabError("at least one window size required")
+    # every setting is checked against its window before any data is read
+    overrides = _overrides(args)
+    specs = [
+        ScanSpec(
+            window=window,
+            roll_step=window if args.non_overlapping else args.roll,
+            methods=tuple(methods),
+            configs={
+                m: replace(default_config(m, window, dfa_mode=args.dfa_profile), **overrides) for m in methods
+            },
+        )
+        for window in windows
+    ]
     if args.input:
         universe = ingest_dir(args.input) if Path(args.input).is_dir() else ingest_csv(args.input)
     else:
@@ -154,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     target.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
-        summary_reports, total_diagnostics = _write_groups(args, universe, windows, staging)
+        summary_reports, total_diagnostics = _write_groups(args, universe, specs, staging)
         target.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir()):
             path.replace(target / path.name)
@@ -167,8 +180,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_dir: Path):
-    """Scan each window and write every (window, method) group's files into ``out_dir``.
+def _write_groups(args: argparse.Namespace, universe, specs: list[ScanSpec], out_dir: Path):
+    """Scan each spec and write every (window, method) group's files into ``out_dir``.
 
     Returns the quintile reports per method and the number of skipped
     estimates and series.  An error names the group it came from.
@@ -178,20 +191,11 @@ def _write_groups(args: argparse.Namespace, universe, windows: list[int], out_di
     render = (lambda rep: render_method_table([rep])) if args.format == "table" else report_csv
     summary_reports: dict[Method, list] = {m: [] for m in methods}
     total_diagnostics = 0
-    overrides = _overrides(args)
-    for window in windows:
-        spec = ScanSpec(
-            window=window,
-            roll_step=window if args.non_overlapping else args.roll,
-            methods=tuple(methods),
-            configs={
-                m: replace(default_config(m, window, dfa_mode=args.dfa_profile), **overrides) for m in methods
-            },
-        )
+    for spec in specs:
         result = scan(universe, spec)
         total_diagnostics += len(result.diagnostics)
         for method, pool in result.pools.items():
-            tag = f"{method.value.lower()}_w{window}"
+            tag = f"{method.value.lower()}_w{spec.window}"
             if args.exclude_suspect:
                 pool = pool.select(~pool.suspect)
             (out_dir / f"observations_{tag}.csv").write_text(observations_csv(pool), encoding="utf-8")

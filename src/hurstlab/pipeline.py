@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -59,7 +60,8 @@ _LABELS = {"quintile": QUINTILE_LABELS, "tail": TAIL_LABELS}
 class ScanSpec:
     """One scan's geometry and estimator configs, each checked against ``window`` when built.
 
-    ``configs`` keeps a copy of those given; ``scan`` derives the others' defaults for ``window``.
+    ``configs`` keeps a read-only copy of those given; ``scan`` derives the
+    others' defaults for ``window``.  Equal specs hash equal.
     """
 
     window: int
@@ -75,12 +77,19 @@ class ScanSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("each method may appear only once")
-        object.__setattr__(self, "configs", dict(self.configs))
+        object.__setattr__(self, "configs", MappingProxyType(dict(self.configs)))
         for method in self.methods:
             if method in self.configs:
                 check_length(method, self.configs[method], self.window)
             else:
                 default_config(method, self.window)
+
+    def __hash__(self) -> int:
+        return hash((self.window, self.roll_step, self.methods, frozenset(self.configs.items())))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the spec pickles and copies through its fields
+        return ScanSpec, (self.window, self.roll_step, self.methods, dict(self.configs))
 
 
 @dataclass(frozen=True)
@@ -145,13 +154,17 @@ def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
     return list(range(window - 1, last + 1, roll_step))
 
 
+# Window points per ``estimate_rows`` call when windows do not overlap: a few
+# hundred rows amortize the per-call overhead, and the matrix stays in cache.
+_BATCH_POINTS = 2**16
+
+
 def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     """Run the rolling protocol over every instrument in the universe.
 
-    Each instrument's windows are one ``(n_windows, window)`` view of its
-    log prices, and every method estimates all of its rows in one call;
-    the rows it keeps extend that method's pool.  Instruments are taken in
-    id order and window ends ascend, so each pool is in canonical order
+    Instruments are taken in id order, in the batches of ``_batches``, and
+    every method estimates all rows of a batch in one call; the rows it
+    keeps extend that method's pool, so each pool is in canonical order
     without a sort.  The spec has checked each config against the window,
     so an estimator fails one row at a time: that (position, method) pair
     is skipped and tallied as a diagnostic.  A series too short for even
@@ -168,39 +181,58 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     empty = (np.empty(0, object), np.empty(0, np.int64), np.empty(0), np.empty(0))
     columns = {method: [empty] for method in spec.methods}  # (id, window end, h, forward) parts
     diagnostics: list[Diagnostic] = []
-    for series in series_list:
-        log = to_log_prices(series)
-        values = log.values
-        if len(values) < 2 * spec.window:
-            diagnostics.append(
-                Diagnostic(
-                    series.instrument_id,
-                    None,
-                    None,
-                    f"series of {len(values)} points is shorter than 2*window={2 * spec.window}",
-                )
-            )
-            continue
-        ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
-        windows = sliding_window_view(values, spec.window)[:: spec.roll_step][: len(ends)]
-        forwards = values[ends + spec.window] - values[ends]
-        window_ends = log.dates[ends]
-        failed = []
-        for k, method in enumerate(spec.methods):
-            h, fits = estimate_rows(method, windows, spec.configs.get(method))
-            keep = np.ones(len(ends), dtype=bool)
-            keep[list(fits.errors)] = False
-            ids = np.full(keep.sum(), series.instrument_id, dtype=object)
-            columns[method].append((ids, window_ends[keep], h[keep], forwards[keep]))
-            failed += [(i, k, exc) for i, exc in fits.errors.items()]
-        for i, k, exc in sorted(failed, key=lambda f: f[:2]):  # by window end, then method
-            end = int(window_ends[i])
-            diagnostics.append(Diagnostic(series.instrument_id, end, spec.methods[k], str(exc)))
+    for members, skipped in _batches(series_list, spec):
+        failed = [(row, -1, diagnostic) for row, diagnostic in skipped]
+        if members:
+            ids, window_ends, forwards, windows = zip(*members)
+            ids = np.repeat(np.array(ids, dtype=object), [len(w) for w in windows])
+            window_ends, forwards = np.concatenate(window_ends), np.concatenate(forwards)
+            matrix = windows[0] if len(windows) == 1 else np.concatenate(windows)
+            for k, method in enumerate(spec.methods):
+                h, fits = estimate_rows(method, matrix, spec.configs.get(method))
+                keep = np.ones(len(h), dtype=bool)
+                keep[list(fits.errors)] = False
+                columns[method].append((ids[keep], window_ends[keep], h[keep], forwards[keep]))
+                failed += [
+                    (i, k, Diagnostic(ids[i], int(window_ends[i]), method, str(exc)))
+                    for i, exc in fits.errors.items()
+                ]
+        # by row, then method; a short series sorts after the rows of the instruments before it
+        diagnostics += [diagnostic for *_, diagnostic in sorted(failed, key=lambda f: f[:2])]
     pools = {}
     for method, parts in columns.items():
         ids, window_end, h, forward = (np.concatenate(column) for column in zip(*parts))
         pools[method] = ObservationPool(spec.window, method, ids, window_end, h, forward)
     return ScanResult(pools, tuple(diagnostics))
+
+
+def _batches(series_list: list[PriceSeries], spec: ScanSpec):
+    """Yield ``(members, skipped)`` per batch of consecutive instruments, in id order.
+
+    A member is one instrument's ``(id, window ends, forward returns,
+    windows)``, its windows one ``(n_windows, window)`` view of its log
+    prices; ``skipped`` holds ``(rows before it in the batch, diagnostic)``
+    for each series too short to scan.  When windows overlap a batch is one
+    instrument, whose view GHE reads in place; otherwise they share no
+    points, and a batch takes instruments until the next would take it past
+    ``_BATCH_POINTS`` window points.
+    """
+    members, skipped, rows = [], [], 0
+    for series in series_list:
+        log = to_log_prices(series)
+        values = log.values
+        if len(values) < 2 * spec.window:
+            reason = f"series of {len(values)} points is shorter than 2*window={2 * spec.window}"
+            skipped.append((rows, Diagnostic(series.instrument_id, None, None, reason)))
+            continue
+        ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
+        windows = sliding_window_view(values, spec.window)[:: spec.roll_step][: len(ends)]
+        if members and (spec.roll_step < spec.window or (rows + len(ends)) * spec.window > _BATCH_POINTS):
+            yield members, skipped
+            members, skipped, rows = [], [], 0
+        members.append((series.instrument_id, log.dates[ends], values[ends + spec.window] - values[ends], windows))
+        rows += len(ends)
+    yield members, skipped
 
 
 def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:

@@ -143,6 +143,13 @@ class TestRun:
             "observations_ghe_w16.csv", "quintile_ghe_w16.txt", "tail_ghe_w16.txt"
         ]
 
+    def test_settings_fail_before_the_input_is_read(self, tmp_path, capsys):
+        # the missing file is never opened: the window is judged first
+        args = ["run", "--input", tmp_path / "missing.csv", "--windows", "16", "--out", tmp_path / "o"]
+        assert _run(args) == 1
+        assert capsys.readouterr().err == "error: dfa: largest block 2**4 does not fit in 15 points\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_group_leaves_out_dir_untouched(self, tmp_path, capsys):
         # 600 days give window 32 its groups but leave w512 without observations
         out = tmp_path / "out"

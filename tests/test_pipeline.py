@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +38,8 @@ from hurstlab import (
     report,
     scan,
 )
-from hurstlab.estimators import is_suspect
+from hurstlab import pipeline
+from hurstlab.estimators import estimate_rows, is_suspect
 from hurstlab.pipeline import window_end_positions
 from hurstlab.reporting import observations_csv, render_method_table, report_csv
 
@@ -216,6 +220,21 @@ class TestScanGeometry:
         resolved = {Method.GM2: default_config(Method.GM2, 64), Method.GHE: tight}
         assert scan(universe, spec) == scan(universe, replace(spec, configs=resolved))
 
+    def test_equal_specs_hash_equal_and_their_configs_are_read_only(self):
+        tight = {Method.GHE: EstimatorConfig(tau_max=9)}
+        a = ScanSpec(window=64, methods=(Method.GHE,), configs=tight)
+        b = ScanSpec(window=64, methods=[Method.GHE], configs=dict(tight))
+        assert a == b and hash(a) == hash(b)
+        assert hash(ScanSpec(window=32)) == hash(ScanSpec(window=32)) and hash(replace(a)) == hash(a)
+        keyed = {a: "tight", ScanSpec(window=64): "default"}
+        assert keyed[b] == "tight" and keyed[ScanSpec(window=64)] == "default" and len({a, b}) == 1
+        with pytest.raises(TypeError):
+            a.configs[Method.GHE] = EstimatorConfig(tau_max=40)
+        assert a.configs[Method.GHE] == tight[Method.GHE] and a.configs.get(Method.DFA) is None
+        # read-only, yet a spec still pickles and copies (worker processes receive specs by pickle)
+        assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+        assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+
     def test_replaced_window_derives_its_own_defaults(self):
         universe = _walk_universe(4, 1200, seed=9)
         resized = replace(ScanSpec(window=32), window=512)
@@ -389,14 +408,79 @@ class TestColumnarScanOracle:
     # rolls below the window overlap the rows; 64 makes them abut and 77 leaves gaps
     @pytest.mark.parametrize("roll_step", [1, 7, 64, 77])
     def test_every_window_end_matches_the_one_row_estimate(self, roll_step):
-        self._check(self._universe(), ScanSpec(window=64, roll_step=roll_step))
+        result = self._check(self._universe(), ScanSpec(window=64, roll_step=roll_step))
+        # MIKE's halt (days 40-149) holds a whole window at every roll but 77, whose one MIKE window ends on day 63
+        assert any(d.method is not None for d in result.diagnostics) == (roll_step != 77)
 
     @pytest.mark.parametrize("roll_step", [1, 7, 64, 77])
     def test_raw_mode_dfa_matches_the_one_row_dfa(self, roll_step):
         universe, raw = self._universe(), default_config(Method.DFA, 64, DFA_MODE_RAW)
         result = self._check(universe, ScanSpec(window=64, roll_step=roll_step, configs={Method.DFA: raw}))
+        assert any(d.method is not None for d in result.diagnostics) == (roll_step != 77)
         profile = scan(universe, ScanSpec(window=64, roll_step=roll_step))
         assert result.pools[Method.DFA].h.tolist() != profile.pools[Method.DFA].h.tolist()
+
+    # a budget that flushes every two or three instruments, and the real one, which flushes
+    # once the 3,200-day members fill it
+    @pytest.mark.parametrize("budget", [7000, pipeline._BATCH_POINTS], ids=["small", "real"])
+    @pytest.mark.parametrize("window, roll_step", [(64, 64), (64, 80)])
+    def test_batches_of_instruments_match_the_one_row_estimates(self, monkeypatch, budget, window, roll_step):
+        universe = self._batch_universe()
+        monkeypatch.setattr(pipeline, "_BATCH_POINTS", budget)
+        calls = self._record_calls(monkeypatch)
+        spec = ScanSpec(window=window, roll_step=roll_step)
+        result = self._check(universe, spec)
+        # every call holds whole instruments, in id order, within the budget unless it holds one
+        rows = [
+            len(window_end_positions(len(s), window, roll_step))
+            for s in sorted(universe, key=lambda s: s.instrument_id)
+            if len(s) >= 2 * window
+        ]
+        bounds, calls_rows = set(np.cumsum(rows).tolist()), [len(w) for m, w in calls if m is Method.GHE]
+        assert [len(w) for m, w in calls if m is Method.DFA] == calls_rows
+        assert set(np.cumsum(calls_rows).tolist()) <= bounds and sum(calls_rows) == sum(rows)
+        assert all(n * window <= budget or n in rows for n in calls_rows)
+        # a batch ends only where the next instrument would take it past the budget
+        next_rows = dict(zip(np.cumsum(rows).tolist(), rows[1:]))
+        assert all((n + next_rows[end]) * window > budget for n, end in zip(calls_rows, np.cumsum(calls_rows)[:-1]))
+        assert 1 < len(calls_rows) < len(rows)  # flushed in the middle of the universe
+        assert sum(d.window_end is None for d in result.diagnostics) == 8
+        assert sum(d.method is not None for d in result.diagnostics) > 0
+
+    def test_overlapping_windows_keep_one_call_per_instrument(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BATCH_POINTS", 10**9)
+        calls = self._record_calls(monkeypatch)
+        scan(self._universe(), ScanSpec(window=64, roll_step=63, methods=(Method.GHE,)))
+        # ALPHA, MIKE and ZULU (SHORT is too short), each as a view of its own series, which GHE reads in place
+        assert [len(w) for _, w in calls] == [3, 2, 3]
+        assert not any(w.flags.owndata for _, w in calls)
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        """Record the (method, windows) of every ``estimate_rows`` call ``scan`` makes."""
+        calls = []
+
+        def recording(method, windows, cfg=None):
+            calls.append((method, windows))
+            return estimate_rows(method, windows, cfg)
+
+        monkeypatch.setattr(pipeline, "estimate_rows", recording)
+        return calls
+
+    @staticmethod
+    def _batch_universe():
+        """40 instruments, given out of order: short series at the ends and in runs of one and
+        two, and halts that cover an instrument's first, middle or last windows."""
+        rng = np.random.Generator(np.random.PCG64(23))
+        universe = []
+        for i in range(40):
+            length = 90 if i in (0, 5, 11, 12, 20, 21, 29, 39) else 3200 - 13 * (i % 6)
+            prices = np.exp(2.0 + np.cumsum(rng.normal(0.0, 0.01, length)))
+            halt = {1: slice(0, 300), 2: slice(1200, 1500), 3: slice(length - 300, length)}.get(i % 4)
+            if halt is not None and length > 90:
+                prices[halt] = prices[halt][0]
+            universe.append(PriceSeries(f"I{i:02d}", 1000 + 3 * np.arange(length), prices))
+        return universe[::-1]
 
     @staticmethod
     def _universe():
@@ -415,35 +499,34 @@ class TestColumnarScanOracle:
     def _check(universe, spec):
         """Scan with ``spec`` and compare every row with its one-row ``ghe``, ``dfa`` or ``gm2``."""
         result = scan(universe, spec)
-        roll_step = spec.roll_step
+        window, roll_step = spec.window, spec.roll_step
         one_row = {Method.GHE: ghe, Method.DFA: dfa, Method.GM2: gm2}
 
         expected = {method: [] for method in spec.methods}
         diagnostics = []
         for series in sorted(universe, key=lambda s: s.instrument_id):
             values = np.log(series.prices)
-            if len(values) < 128:
-                reason = f"series of {len(values)} points is shorter than 2*window=128"
+            if len(values) < 2 * window:
+                reason = f"series of {len(values)} points is shorter than 2*window={2 * window}"
                 diagnostics.append(Diagnostic(series.instrument_id, None, None, reason))
                 continue
-            for t in window_end_positions(len(values), 64, roll_step):
-                window = LogSeries(series.instrument_id, series.dates[t - 63 : t + 1], values[t - 63 : t + 1])
+            for t in window_end_positions(len(values), window, roll_step):
+                span = slice(t - window + 1, t + 1)
+                trailing = LogSeries(series.instrument_id, series.dates[span], values[span])
                 for method in spec.methods:
                     end = int(series.dates[t])
                     try:
-                        alone = one_row[method](window, spec.configs.get(method))
+                        alone = one_row[method](trailing, spec.configs.get(method))
                     except HurstLabError as exc:
                         diagnostics.append(Diagnostic(series.instrument_id, end, method, str(exc)))
                         continue
-                    forward = values[t + 64] - values[t]
+                    forward = values[t + window] - values[t]
                     expected[method].append((series.instrument_id, end, alone.h, alone.suspect, forward))
 
         assert list(result.diagnostics) == diagnostics
-        # MIKE's halt (days 40-149) holds a whole window at every roll but 77, whose one MIKE window ends on day 63
-        assert any(d.method is not None for d in diagnostics) == (roll_step != 77)
         for method, rows in expected.items():
             pool = result.pools[method]
-            assert (pool.window, pool.method) == (64, method)
+            assert (pool.window, pool.method) == (window, method)
             found = list(zip(
                 pool.instrument_id.tolist(), pool.window_end.tolist(), pool.h.tolist(), pool.suspect.tolist(),
                 pool.forward_log_return.tolist(),
@@ -506,6 +589,36 @@ class TestPoolProperties:
             a, b = base.pools[method], scaled.pools[method]
             assert np.array_equal(a.instrument_id, b.instrument_id) and np.array_equal(a.window_end, b.window_end)
             assert np.max(np.abs(a.h - b.h), initial=0.0) <= 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(30, 400), min_size=1, max_size=8),
+        window=st.sampled_from([20, 32, 48]),
+        extra_roll=st.integers(0, 40),
+        budget=st.integers(1, 4000),
+    )
+    def test_merged_scan_joins_the_per_instrument_scans(self, seed, lengths, window, extra_roll, budget):
+        # short series, halts and batches of any size: merging instruments changes no row and no skip
+        rng = np.random.Generator(np.random.PCG64(seed))
+        universe = []
+        for i, length in enumerate(lengths):
+            prices = np.exp(3.0 + np.cumsum(rng.normal(0.0, 0.01, length)))
+            if rng.random() < 0.4:
+                start = int(rng.integers(0, length))
+                prices[start : start + int(rng.integers(1, 2 * window))] = prices[start]
+            universe.append(PriceSeries(f"S{i}", np.arange(length), prices))
+        spec = ScanSpec(window=window, roll_step=window + extra_roll)
+        with mock.patch.object(pipeline, "_BATCH_POINTS", budget):
+            merged = scan(universe, spec)
+        alone = [scan([series], spec) for series in universe]
+        assert merged.diagnostics == sum((result.diagnostics for result in alone), ())
+        columns = ("instrument_id", "window_end", "h", "forward_log_return")
+        for method in spec.methods:
+            parts = [result.pools[method] for result in alone]
+            joined = [np.concatenate([getattr(part, column) for part in parts]) for column in columns]
+            assert merged.pools[method] == ObservationPool(window, method, *joined)
+            assert merged.pools[method].h.tobytes() == joined[2].tobytes()
 
     # is_suspect's band edges and the values either side of them
     H_EDGES = [
