@@ -292,9 +292,9 @@ def estimate_rows(
     """Exponent and log-log fit of every row of a ``(rows, length)`` matrix of log prices.
 
     Returns ``(h, fits)``.  Every setting, DFA's mode included, comes
-    from ``cfg``, by default ``default_config(method, length)``.  A row
-    whose statistic or fit is degenerate holds NaN in ``h`` and its error
-    in ``fits.errors``, with the message the one-row estimator raises; a
+    from ``cfg``, by default ``default_config(method, length)``.  Exactly
+    the rows whose statistic or fit is degenerate hold NaN in ``h``, each
+    with its error in ``fits.errors``, the one the one-row estimator raises; a
     length that ``check_length`` rejects for the config raises for the whole matrix.
     ``windows`` may be any 2-D float array: a C-contiguous matrix, or a
     view whose rows are overlapping windows of one series, such as

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
 from .estimators import EstimatorConfig, Method, check_length, default_config, estimate_rows, is_suspect
-from .series import PriceSeries, to_log_prices
+from .series import PriceSeries
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -162,13 +162,15 @@ _BATCH_POINTS = 2**16
 def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     """Run the rolling protocol over every instrument in the universe.
 
-    Instruments are taken in id order, in the batches of ``_batches``, and
-    every method estimates all rows of a batch in one call; the rows it
-    keeps extend that method's pool, so each pool is in canonical order
-    without a sort.  The spec has checked each config against the window,
-    so an estimator fails one row at a time: that (position, method) pair
-    is skipped and tallied as a diagnostic.  A series too short for even
-    one observation gives a single diagnostic.  Ids must be unique.
+    A series too short for even one observation (fewer than ``2*window``
+    points) gives a single diagnostic.  The rest are taken in id order, in
+    the batches of ``_batches``, and every method estimates all rows of a
+    batch in one call; the rows it keeps extend that method's pool, so each
+    pool is in canonical order without a sort.  The spec has checked each
+    config against the window, so an estimator fails one row at a time:
+    that (window end, method) pair is skipped with a diagnostic.
+    Diagnostics come in instrument, window-end and method order.  Ids must
+    be unique.
     """
     series_list = sorted(universe, key=lambda s: s.instrument_id)
     if not series_list:
@@ -178,27 +180,26 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
             raise DuplicateInstrument(
                 f"instrument {a.instrument_id} appears more than once in the universe", a.instrument_id
             )
+    diagnostics, scannable = [], []
+    for series in series_list:
+        if len(series) >= 2 * spec.window:
+            scannable.append(series)
+        else:
+            reason = f"series of {len(series)} points is shorter than 2*window={2 * spec.window}"
+            diagnostics.append(Diagnostic(series.instrument_id, None, None, reason))
     empty = (np.empty(0, object), np.empty(0, np.int64), np.empty(0), np.empty(0))
     columns = {method: [empty] for method in spec.methods}  # (id, window end, h, forward) parts
-    diagnostics: list[Diagnostic] = []
-    for members, skipped in _batches(series_list, spec):
-        failed = [(row, -1, diagnostic) for row, diagnostic in skipped]
-        if members:
-            ids, window_ends, forwards, windows = zip(*members)
-            ids = np.repeat(np.array(ids, dtype=object), [len(w) for w in windows])
-            window_ends, forwards = np.concatenate(window_ends), np.concatenate(forwards)
-            matrix = windows[0] if len(windows) == 1 else np.concatenate(windows)
-            for k, method in enumerate(spec.methods):
-                h, fits = estimate_rows(method, matrix, spec.configs.get(method))
-                keep = np.ones(len(h), dtype=bool)
-                keep[list(fits.errors)] = False
-                columns[method].append((ids[keep], window_ends[keep], h[keep], forwards[keep]))
-                failed += [
-                    (i, k, Diagnostic(ids[i], int(window_ends[i]), method, str(exc)))
-                    for i, exc in fits.errors.items()
-                ]
-        # by row, then method; a short series sorts after the rows of the instruments before it
-        diagnostics += [diagnostic for *_, diagnostic in sorted(failed, key=lambda f: f[:2])]
+    for ids, window_ends, forwards, windows in _batches(scannable, spec):
+        for method in spec.methods:
+            h, fits = estimate_rows(method, windows, spec.configs.get(method))
+            keep = ~np.isnan(h)
+            columns[method].append((ids[keep], window_ends[keep], h[keep], forwards[keep]))
+            diagnostics += [
+                Diagnostic(ids[i], int(window_ends[i]), method, str(exc)) for i, exc in fits.errors.items()
+            ]
+    # a short series has no other diagnostic under its id, so its window end and method rank are moot
+    rank = {method: k for k, method in enumerate(spec.methods)}
+    diagnostics.sort(key=lambda d: (d.instrument_id, d.window_end or 0, rank.get(d.method, 0)))
     pools = {}
     for method, parts in columns.items():
         ids, window_end, h, forward = (np.concatenate(column) for column in zip(*parts))
@@ -207,32 +208,30 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
 
 
 def _batches(series_list: list[PriceSeries], spec: ScanSpec):
-    """Yield ``(members, skipped)`` per batch of consecutive instruments, in id order.
+    """Yield ``(ids, window ends, forward returns, windows)`` per batch of consecutive instruments.
 
-    A member is one instrument's ``(id, window ends, forward returns,
-    windows)``, its windows one ``(n_windows, window)`` view of its log
-    prices; ``skipped`` holds ``(rows before it in the batch, diagnostic)``
-    for each series too short to scan.  When windows overlap a batch is one
-    instrument, whose view GHE reads in place; otherwise they share no
-    points, and a batch takes instruments until the next would take it past
-    ``_BATCH_POINTS`` window points.
+    Each series has at least ``2*window`` points, and batches keep its
+    order.  A batch's columns hold one entry per row of ``windows``, its
+    ``(rows, window)`` matrix of log-price windows.  When windows overlap a
+    batch is one instrument, and ``windows`` a view of its log prices that
+    GHE reads in place; otherwise they share no points, and a batch takes
+    instruments until the next would take it past ``_BATCH_POINTS`` window
+    points, joined into one matrix.
     """
-    members, skipped, rows = [], [], 0
+    window, step = spec.window, spec.roll_step
+    parts, rows = [], 0
     for series in series_list:
-        log = to_log_prices(series)
-        values = log.values
-        if len(values) < 2 * spec.window:
-            reason = f"series of {len(values)} points is shorter than 2*window={2 * spec.window}"
-            skipped.append((rows, Diagnostic(series.instrument_id, None, None, reason)))
-            continue
-        ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
-        windows = sliding_window_view(values, spec.window)[:: spec.roll_step][: len(ends)]
-        if members and (spec.roll_step < spec.window or (rows + len(ends)) * spec.window > _BATCH_POINTS):
-            yield members, skipped
-            members, skipped, rows = [], [], 0
-        members.append((series.instrument_id, log.dates[ends], values[ends + spec.window] - values[ends], windows))
+        values = np.log(series.prices)
+        ends = np.array(window_end_positions(len(values), window, step))
+        if parts and (step < window or (rows + len(ends)) * window > _BATCH_POINTS):
+            yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            parts, rows = [], 0
+        ids = np.full(len(ends), series.instrument_id, dtype=object)
+        windows = sliding_window_view(values, window)[::step][: len(ends)]
+        parts.append((ids, series.dates[ends], values[ends + window] - values[ends], windows))
         rows += len(ends)
-    yield members, skipped
+    if parts:
+        yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:
