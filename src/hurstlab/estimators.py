@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,12 @@ class EstimatorConfig:
     dfa_mode: str = DFA_MODE_PROFILE
 
     def __post_init__(self):
+        for name in ("tau_max", "k_min", "k_max"):
+            value = getattr(self, name)
+            try:  # numpy integers pass, and are kept as ints
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
             raise ValueError(f"unknown dfa mode {self.dfa_mode!r}")
         if not 0.0 < self.q < np.inf:
@@ -147,6 +154,8 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
 
 def check_length(method: Method, cfg: EstimatorConfig, length: int) -> None:
     """Raise ``SeriesTooShort`` unless ``cfg`` fits windows of ``length`` points: the one length rule."""
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method {method!r}")
     if method is Method.GHE:
         if length <= cfg.tau_max:
             raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {length}")
@@ -303,8 +312,6 @@ def estimate_rows(
     copy it into one C-contiguous matrix.  Rows are computed independently
     of each other.
     """
-    if not isinstance(method, Method):
-        raise ValueError(f"unknown method {method!r}")
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
         raise ValueError(f"windows must be a 2-D (rows, length) matrix, got shape {windows.shape}")

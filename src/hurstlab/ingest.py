@@ -23,6 +23,7 @@ import csv
 import datetime as dt
 import io
 import re
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -306,12 +307,13 @@ def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
     fixed epoch, so ingesting the file recovers series whose ordinals
     started at 0 exactly (prices round-trip via ``repr``).  An id holding
     a comma, quote or line break is quoted as ``csv`` does; an empty id,
-    or one with whitespace around it, raises ``ValueError`` before the
-    file is opened.
+    one with whitespace around it, or one held by two series raises
+    ``ValueError`` before the file is opened.
     """
     ordered = sorted(universe, key=lambda s: s.instrument_id)
-    # ingest strips the whitespace around every field, so these ids would not read back
-    lost = [name for name in (s.instrument_id for s in ordered) if not name or name != name.strip()]
+    # ingest strips the whitespace around every field and joins the rows of an id, so these would not read back
+    counts = Counter(s.instrument_id for s in ordered)
+    lost = [name for name, n in counts.items() if n > 1 or not name or name != name.strip()]
     if lost:
         raise ValueError(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
     with Path(path).open("w", encoding="utf-8") as f:

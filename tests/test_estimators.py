@@ -54,6 +54,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(k_min=4, k_max=5)
 
+    @pytest.mark.parametrize("field, value", [("k_min", 2.5), ("k_max", 6.0), ("tau_max", "9"), ("k_max", None)])
+    def test_non_integer_lag_or_block_exponent_raises_when_built(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            EstimatorConfig(**{field: value})
+
+    def test_numpy_integer_settings_are_kept_as_ints(self):
+        cfg = EstimatorConfig(tau_max=np.int64(9), k_min=np.int32(2), k_max=np.uint8(6))
+        assert cfg == EstimatorConfig(tau_max=9, k_min=2, k_max=6)
+        assert all(type(getattr(cfg, name)) is int for name in ("tau_max", "k_min", "k_max"))
+
+    @pytest.mark.parametrize("length", [5, 32])
+    def test_method_that_is_not_a_method_raises_at_the_length_rule(self, length):
+        # a name is not a Method; it fails at any length, before any estimator runs
+        for call in (
+            lambda: check_length("ghe", EstimatorConfig(), length),
+            lambda: default_config("ghe", length),
+            lambda: estimate_rows("ghe", np.zeros((2, length)), EstimatorConfig(tau_max=2)),
+        ):
+            with pytest.raises(ValueError, match="^unknown method 'ghe'$"):
+                call()
+
     def test_default_scale_bounds_per_window(self):
         assert default_config(Method.DFA, 32).scales() == (4, 8, 16)
         assert default_config(Method.DFA, 128).scales() == (4, 8, 16, 32, 64)

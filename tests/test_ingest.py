@@ -293,6 +293,21 @@ class TestIngest:
         with pytest.raises(MalformedRow, match=r"^u\.csv: field larger than field limit \(131072\)$"):
             ingest_csv(path)
 
+    def test_field_over_the_size_limit_that_ends_in_a_later_read_leaves_the_split(self, tmp_path):
+        # the first read ends inside the long id, the second holds its end: that block is whole
+        # records, plain, but holds a field csv.reader rejects, so the split stops before it
+        header, short = b"instrument,date,price\n", b"B,2001-01-02,1\n"
+        data = header + short + b"A" * 140_000 + b",2001-01-02,1\n"
+        f = _CountingReader(data)
+        f.seek(len(header))
+        columns = ingest_module._Columns("u.csv")
+        assert ingest_module._add_plain_blocks(columns, f) == 3
+        assert (f.reads, f.tell()) == (2, len(header + short))
+        path = tmp_path / "u.csv"
+        path.write_bytes(data)
+        with pytest.raises(MalformedRow, match=r"^u\.csv: field larger than field limit \(131072\)$"):
+            ingest_csv(path)
+
     @pytest.mark.parametrize("header", ["instrument,date,price\n", "\ufeffinstrument,date,price\r\n"],
                              ids=["plain", "csv-reader-from-byte-0"])
     def test_byte_that_is_not_utf8_is_located_in_the_file(self, tmp_path, header):
@@ -437,6 +452,14 @@ class TestIngest:
         universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in ("A", lost, "BRK,A")]
         path = tmp_path / "u.csv"
         with pytest.raises(ValueError, match=re.escape(repr(lost))):
+            write_csv(universe, path)
+        assert not path.exists()
+
+    def test_repeated_ids_are_rejected(self, tmp_path):
+        # ingest would join their rows and fail on the first date they share
+        universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in ("A", "B", "A", "A")]
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match=r"^instrument ids 'A' would not read back from CSV$"):
             write_csv(universe, path)
         assert not path.exists()
 

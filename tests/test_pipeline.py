@@ -206,6 +206,11 @@ class TestScanGeometry:
             ScanSpec(window=32, roll_step=0)
         with pytest.raises(ValueError):
             ScanSpec(window=32, methods=())
+        # a method name, or a config no estimator can use, fails here rather than inside scan
+        with pytest.raises(ValueError, match="^unknown method 'ghe'$"):
+            ScanSpec(window=32, methods=("ghe",))
+        with pytest.raises(TypeError, match="^k_min must be an integer, got 2.5$"):
+            ScanSpec(window=32, configs={Method.DFA: EstimatorConfig(k_min=2.5, k_max=6)})
 
     def test_spec_keeps_the_configs_it_is_given(self):
         tight = EstimatorConfig(tau_max=9)

@@ -91,6 +91,10 @@ class TestReportRendering:
         text = render_method_table([report(pool)])
         assert "n/a" in text
 
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError, match="^no reports to render$"):
+            render_method_table([])
+
     def test_mixed_methods_rejected(self):
         a = report(exemplar_pool(128))
         b = report(replace(exemplar_pool(128), method=Method.GM2))

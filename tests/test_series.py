@@ -36,6 +36,17 @@ class TestPriceSeries:
         with pytest.raises(ValueError):
             PriceSeries("X", np.array([2, 1, 0]), np.array([1.0, 2.0, 3.0]))
 
+    def test_rejects_non_finite_price(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonFiniteInput, match="^TEST: non-finite price$"):
+                _prices([1.0, bad, 2.0])
+
+    def test_rejects_two_dimensional_data(self):
+        with pytest.raises(ValueError, match="^series data must be one-dimensional$"):
+            PriceSeries("X", np.arange(4).reshape(2, 2), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^series data must be one-dimensional$"):
+            PriceSeries("X", np.arange(4), np.ones((2, 2)))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             PriceSeries("X", np.array([0, 1]), np.array([1.0, 2.0, 3.0]))
@@ -117,6 +128,11 @@ class TestOlsSlope:
             ols_slope_xy([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
         with pytest.raises(DegenerateRegression):
             ols_slope_xy([], [])
+
+    def test_mismatched_shapes(self):
+        for x, y in (([0.0, 1.0, 2.0], [1.0, 2.0]), ([[0.0, 1.0]], [[1.0, 2.0]])):
+            with pytest.raises(ValueError, match="^x and y must be one-dimensional and equally long$"):
+                ols_slope_xy(x, y)
 
     def test_non_finite_input(self):
         with pytest.raises(NonFiniteInput):
