@@ -218,17 +218,16 @@ def _batches(series_list: list[PriceSeries], spec: ScanSpec):
     instruments until the next would take it past ``_BATCH_POINTS`` window
     points, joined into one matrix.
     """
-    window, step = spec.window, spec.roll_step
     parts, rows = [], 0
     for series in series_list:
         values = np.log(series.prices)
-        ends = np.array(window_end_positions(len(values), window, step))
-        if parts and (step < window or (rows + len(ends)) * window > _BATCH_POINTS):
+        ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
+        if parts and (spec.roll_step < spec.window or (rows + len(ends)) * spec.window > _BATCH_POINTS):
             yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
             parts, rows = [], 0
         ids = np.full(len(ends), series.instrument_id, dtype=object)
-        windows = sliding_window_view(values, window)[::step][: len(ends)]
-        parts.append((ids, series.dates[ends], values[ends + window] - values[ends], windows))
+        windows = sliding_window_view(values, spec.window)[:: spec.roll_step][: len(ends)]
+        parts.append((ids, series.dates[ends], values[ends + spec.window] - values[ends], windows))
         rows += len(ends)
     if parts:
         yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
