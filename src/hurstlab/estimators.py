@@ -17,12 +17,12 @@ scale, and the exponent is read off each row's slope.
   removes both.
 * GM2  -- mean max-min range of non-overlapping log-price blocks.
 
-``estimate_rows`` runs one method over a window matrix.  A row whose
-statistic or fit is degenerate gets its own error and does not fail the
-matrix.  ``ghe``, ``dfa``, ``gm2`` and ``estimate`` are one-row calls of
-the same kernels and raise that error.  Each row is computed
-independently of the others, so its exponent is bit-identical whichever
-matrix it sits in.
+``estimate_rows`` runs one method over a window matrix: ``fit_statistic``
+of ``statistic``.  A row whose statistic or fit is degenerate gets its
+own error and does not fail the matrix.  ``ghe``, ``dfa``, ``gm2`` and
+``estimate`` are one-row calls and raise that error.  Each stage computes
+every row on its own, so an exponent is bit-identical whichever matrix
+its window sits in, and whichever stacked statistics it is fitted in.
 
 Block sizes are powers of two, ``m = 2**k`` for ``k_min <= k <= k_max``;
 blocks never overlap and any tail remainder shorter than ``m`` is
@@ -69,6 +69,16 @@ DFA_MODE_PROFILE = "profile"
 DFA_MODE_RAW = "raw"
 
 
+def require_integers(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as an int; numpy integers pass, others raise."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Every estimator setting; ``default_config`` derives the defaults for a window length.
@@ -87,12 +97,7 @@ class EstimatorConfig:
     dfa_mode: str = DFA_MODE_PROFILE
 
     def __post_init__(self):
-        for name in ("tau_max", "k_min", "k_max"):
-            value = getattr(self, name)
-            try:  # numpy integers pass, and are kept as ints
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        require_integers(self, "tau_max", "k_min", "k_max")
         if self.dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
             raise ValueError(f"unknown dfa mode {self.dfa_mode!r}")
         if not 0.0 < self.q < np.inf:
@@ -266,20 +271,18 @@ def _mean_block_ranges(values: np.ndarray, scales) -> np.ndarray:
     return ranges.sum(axis=-1) / counts
 
 
-def _statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig):
-    """Scales, the ``(rows, scales)`` statistic, and which points to fit (None: all)."""
+def statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
+    """The ``(rows, scales)`` statistic of every row of ``windows``: the first stage of ``estimate_rows``."""
     check_length(method, cfg, windows.shape[1])
     if method is Method.GHE:
-        taus, stat = _lag_moments(windows, cfg.q, cfg.tau_max)
-        # lags whose statistic is exactly zero carry no scaling information
-        return taus, stat, stat > 0.0
+        return _lag_moments(windows, cfg.q, cfg.tau_max)[1]
     scales = cfg.scales()
     windows = np.ascontiguousarray(windows)
     if method is Method.GM2:
-        return np.array(scales), _mean_block_ranges(windows, scales), None
+        return _mean_block_ranges(windows, scales)
     # detrending absorbs the return profile's offset and mean-return ramp
     signal = windows[:, 1:] if cfg.dfa_mode == DFA_MODE_PROFILE else windows
-    return np.array(scales), _detrended_fluctuations(signal, scales, cfg.q), None
+    return _detrended_fluctuations(signal, scales, cfg.q)
 
 
 _ZERO_STATISTIC = {
@@ -293,6 +296,22 @@ def _statistic_error(method: Method, stat: np.ndarray):
     """Why one row's statistic admits no log-log fit, in the estimator's words; None if it does."""
     degenerate = not (stat > 0.0).any() if method is Method.GHE else (stat == 0.0).any()
     return DegenerateRegression(_ZERO_STATISTIC[method]) if degenerate else None
+
+
+def fit_statistic(method: Method, stat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, RowFits]:
+    """Exponent and log-log fit of each row of a ``statistic``, the second stage of ``estimate_rows``."""
+    scales = np.arange(1, cfg.tau_max + 1) if method is Method.GHE else np.array(cfg.scales())
+    # lags whose statistic is exactly zero carry no scaling information
+    keep = stat > 0.0 if method is Method.GHE else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = fit_rows(np.log(scales), np.log(stat), keep)
+    # a degenerate statistic always fails the fit; name that failure the estimator's way
+    for i in list(fits.errors):
+        fits.errors[i] = _statistic_error(method, stat[i]) or fits.errors[i]
+    h = fits.slope / cfg.q if method is Method.GHE else fits.slope.copy()
+    if fits.errors:
+        h[list(fits.errors)] = np.nan
+    return h, fits
 
 
 def estimate_rows(
@@ -310,23 +329,14 @@ def estimate_rows(
     ``sliding_window_view(x, n)[::step]``.  GHE reads such a view in place
     and computes each lag's increments once for all its rows; DFA and GM2
     copy it into one C-contiguous matrix.  Rows are computed independently
-    of each other.
+    of each other, in both stages.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
         raise ValueError(f"windows must be a 2-D (rows, length) matrix, got shape {windows.shape}")
     if cfg is None:
         cfg = default_config(method, windows.shape[1])
-    scales, stat, keep = _statistic(method, windows, cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fits = fit_rows(np.log(scales), np.log(stat), keep)
-    # a degenerate statistic always fails the fit; name that failure the estimator's way
-    for i in list(fits.errors):
-        fits.errors[i] = _statistic_error(method, stat[i]) or fits.errors[i]
-    h = fits.slope / cfg.q if method is Method.GHE else fits.slope.copy()
-    if fits.errors:
-        h[list(fits.errors)] = np.nan
-    return h, fits
+    return fit_statistic(method, statistic(method, windows, cfg), cfg)
 
 
 def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:

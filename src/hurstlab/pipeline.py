@@ -26,7 +26,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
-from .estimators import EstimatorConfig, Method, check_length, default_config, estimate_rows, is_suspect
+from .estimators import (
+    EstimatorConfig, Method, check_length, default_config, fit_statistic, is_suspect, require_integers, statistic
+)
 from .series import PriceSeries
 
 __all__ = [
@@ -70,6 +72,7 @@ class ScanSpec:
     configs: Mapping[Method, EstimatorConfig] = field(default_factory=dict)
 
     def __post_init__(self):
+        require_integers(self, "window", "roll_step")
         if self.roll_step < 1:
             raise ValueError(f"roll_step must be >= 1, got {self.roll_step}")
         if not self.methods:
@@ -154,9 +157,9 @@ def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
     return list(range(window - 1, last + 1, roll_step))
 
 
-# Window points per ``estimate_rows`` call when windows do not overlap: a few
-# hundred rows amortize the per-call overhead, and the matrix stays in cache.
-_BATCH_POINTS = 2**16
+# Window points per batch of instruments, and the rows worth as many per fit: a few
+# hundred rows amortize the per-call overhead, and a batch's matrix stays in cache.
+_BATCH_POINTS = 2**15
 
 
 def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
@@ -164,13 +167,13 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
 
     A series too short for even one observation (fewer than ``2*window``
     points) gives a single diagnostic.  The rest are taken in id order, in
-    the batches of ``_batches``, and every method estimates all rows of a
-    batch in one call; the rows it keeps extend that method's pool, so each
-    pool is in canonical order without a sort.  The spec has checked each
-    config against the window, so an estimator fails one row at a time:
-    that (window end, method) pair is skipped with a diagnostic.
-    Diagnostics come in instrument, window-end and method order.  Ids must
-    be unique.
+    the batches of ``_batches``, and each method's statistics are fitted
+    once per chunk of rows worth ``_BATCH_POINTS`` window points; the rows
+    a fit keeps extend that method's pool, so each pool is in canonical
+    order without a sort.  The spec has checked each config against the
+    window, so an estimator fails one row at a time: that (window end,
+    method) pair is skipped with a diagnostic.  Diagnostics come in
+    instrument, window-end and method order.  Ids must be unique.
     """
     series_list = sorted(universe, key=lambda s: s.instrument_id)
     if not series_list:
@@ -187,11 +190,22 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
         else:
             reason = f"series of {len(series)} points is shorter than 2*window={2 * spec.window}"
             diagnostics.append(Diagnostic(series.instrument_id, None, None, reason))
+    configs = {m: spec.configs[m] if m in spec.configs else default_config(m, spec.window) for m in spec.methods}
     empty = (np.empty(0, object), np.empty(0, np.int64), np.empty(0), np.empty(0))
     columns = {method: [empty] for method in spec.methods}  # (id, window end, h, forward) parts
-    for ids, window_ends, forwards, windows in _batches(scannable, spec):
-        for method in spec.methods:
-            h, fits = estimate_rows(method, windows, spec.configs.get(method))
+    # DFA and GM2 read a batch's windows joined into one matrix; when windows overlap, GHE reads each
+    # instrument's view in place instead, so each lag's increments are computed once per series
+    in_place = (Method.GHE,) if spec.roll_step < spec.window else ()
+    batches = (
+        (*head, *(
+            np.concatenate([statistic(m, w, configs[m]) for w in (views if m in in_place else [windows])])
+            for m in spec.methods
+        ))
+        for *head, windows, views in _batches(scannable, spec)
+    )
+    for ids, window_ends, forwards, *stats in _chunks(batches, max(1, _BATCH_POINTS // spec.window)):
+        for method, stat in zip(spec.methods, stats):
+            h, fits = fit_statistic(method, stat, configs[method])
             keep = ~np.isnan(h)
             columns[method].append((ids[keep], window_ends[keep], h[keep], forwards[keep]))
             diagnostics += [
@@ -208,29 +222,38 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
 
 
 def _batches(series_list: list[PriceSeries], spec: ScanSpec):
-    """Yield ``(ids, window ends, forward returns, windows)`` per batch of consecutive instruments.
+    """Yield ``(ids, window ends, forward returns, windows, views)`` per batch of consecutive instruments.
 
-    Each series has at least ``2*window`` points, and batches keep its
-    order.  A batch's columns hold one entry per row of ``windows``, its
-    ``(rows, window)`` matrix of log-price windows.  When windows overlap a
-    batch is one instrument, and ``windows`` a view of its log prices that
-    GHE reads in place; otherwise they share no points, and a batch takes
-    instruments until the next would take it past ``_BATCH_POINTS`` window
-    points, joined into one matrix.
+    Each series has at least ``2*window`` points.  A batch takes instruments
+    until the next would take it past ``_BATCH_POINTS`` window points.  Its
+    columns hold one entry per row of ``windows``, its matrix of log-price
+    windows; ``views`` holds the same rows as one view per instrument.
     """
     parts, rows = [], 0
     for series in series_list:
         values = np.log(series.prices)
         ends = np.array(window_end_positions(len(values), spec.window, spec.roll_step))
-        if parts and (spec.roll_step < spec.window or (rows + len(ends)) * spec.window > _BATCH_POINTS):
-            yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        if parts and (rows + len(ends)) * spec.window > _BATCH_POINTS:
+            yield *map(np.concatenate, zip(*parts)), [part[3] for part in parts]
             parts, rows = [], 0
         ids = np.full(len(ends), series.instrument_id, dtype=object)
         windows = sliding_window_view(values, spec.window)[:: spec.roll_step][: len(ends)]
         parts.append((ids, series.dates[ends], values[ends + spec.window] - values[ends], windows))
         rows += len(ends)
     if parts:
-        yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        yield *map(np.concatenate, zip(*parts)), [part[3] for part in parts]
+
+
+def _chunks(parts, size: int):
+    """Re-cut a stream of tuples of row-aligned columns into tuples of ``size`` rows; the last may be shorter."""
+    rest = None
+    for part in parts:
+        rest = part if rest is None else tuple(map(np.concatenate, zip(rest, part)))
+        while len(rest[0]) >= size:
+            yield tuple(column[:size] for column in rest)
+            rest = tuple(column[size:] for column in rest)
+    if rest is not None and len(rest[0]):
+        yield rest
 
 
 def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:

@@ -30,6 +30,9 @@ COHORT = ["--synthetic-cohort", "--n", "6", "--len", "400"]
 HALTED = "<halted>"  # stands for the path of the halted cohort's CSV file
 
 CONFIGS = {
+    # the default run: 60 series of 2048 days, windows 32-512, roll 20; unlike the 6 x 400 runs
+    # below, its scan spans several batches and fit chunks
+    "default": ["--synthetic-cohort"],
     "seed0": [*COHORT, "--windows", "32,64", "--seed", "0"],
     "seed1": [*COHORT, "--windows", "32,64", "--seed", "1"],
     "seed2": [*COHORT, "--windows", "32,64", "--seed", "2"],

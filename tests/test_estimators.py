@@ -24,7 +24,16 @@ from hurstlab import (
     ghe,
     gm2,
 )
-from hurstlab.estimators import HEstimate, _block_ramp, _blocks, _lag_moments, check_length, estimate_rows
+from hurstlab.estimators import (
+    HEstimate,
+    _block_ramp,
+    _blocks,
+    _lag_moments,
+    check_length,
+    estimate_rows,
+    fit_statistic,
+    statistic,
+)
 
 
 def _series(values, name="X"):
@@ -426,6 +435,42 @@ class TestRowIndependence:
                 j = order.index(i)
                 assert h[i] == alone.h and fits.row(i) == alone.fit
                 assert permuted_h[j] == alone.h and permuted_fits.row(j) == alone.fit
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_stacked_statistics_fit_as_each_matrix_alone(self, method):
+        # a walk, a walk halted from its 17th point, a constant row, a walk, a row of period 2 (GHE's even
+        # lags have zero moment and leave its fit) and a row of zeros
+        length = 64
+        walks = np.cumsum(np.random.Generator(np.random.PCG64(7)).standard_normal((3, length)), axis=1)
+        halted = np.r_[walks[1, :16], np.full(length - 16, walks[1, 15])]
+        first = np.vstack([walks[0], halted, np.full(length, 2.0)])
+        second = np.vstack([walks[2], np.tile([0.0, 1.0], length // 2), np.zeros(length)])
+        cfg = default_config(method, length)
+        stats = [statistic(method, matrix, cfg) for matrix in (first, second)]
+        stacked_h, stacked = fit_statistic(method, np.concatenate(stats), cfg)
+        columns = ("slope", "intercept", "r_squared", "n_points")
+        offset = 0
+        for stat in stats:
+            h, fits = fit_statistic(method, stat, cfg)
+            rows = slice(offset, offset + len(stat))
+            assert stacked_h[rows].tobytes() == h.tobytes()
+            for column in columns:
+                assert getattr(stacked, column)[rows].tobytes() == getattr(fits, column).tobytes(), column
+            errors = {i - offset: e for i, e in stacked.errors.items() if rows.start <= i < rows.stop}
+            assert [(i, type(e), str(e)) for i, e in sorted(errors.items())] == [
+                (i, type(e), str(e)) for i, e in sorted(fits.errors.items())
+            ]
+            offset += len(stat)
+        # both constant rows fail as the one-row estimator does; the halted and period-2 rows are fitted
+        assert sorted(stacked.errors) == [2, 5]
+        assert all(isinstance(e, DegenerateRegression) for e in stacked.errors.values())
+        if method is Method.GHE:
+            assert stacked.n_points[4] == cfg.tau_max // 2 + cfg.tau_max % 2
+        # estimate_rows is the two stages over one matrix
+        for matrix, stat in zip((first, second), stats):
+            assert _outcome(lambda: estimate_rows(method, matrix, cfg)) == _outcome(
+                lambda: fit_statistic(method, stat, cfg)
+            )
 
 
 def _layouts(rng, window, rows, roll, start):

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +40,7 @@ from hurstlab import (
     scan,
 )
 from hurstlab import pipeline
-from hurstlab.estimators import estimate_rows, is_suspect
+from hurstlab.estimators import is_suspect, statistic
 from hurstlab.pipeline import window_end_positions
 from hurstlab.reporting import observations_csv, render_method_table, report_csv
 
@@ -211,6 +212,16 @@ class TestScanGeometry:
             ScanSpec(window=32, methods=("ghe",))
         with pytest.raises(TypeError, match="^k_min must be an integer, got 2.5$"):
             ScanSpec(window=32, configs={Method.DFA: EstimatorConfig(k_min=2.5, k_max=6)})
+
+    def test_window_and_roll_must_be_integers(self):
+        with pytest.raises(TypeError, match="^window must be an integer, got 64.0$"):
+            ScanSpec(window=64.0)
+        with pytest.raises(TypeError, match="^roll_step must be an integer, got 2.5$"):
+            ScanSpec(window=32, roll_step=2.5)
+        # numpy integers pass, and are kept as ints, so the spec equals and hashes as its int twin
+        spec = ScanSpec(window=np.int64(32), roll_step=np.int32(5))
+        assert (type(spec.window), type(spec.roll_step)) == (int, int)
+        assert spec == ScanSpec(window=32, roll_step=5) and hash(spec) == hash(ScanSpec(window=32, roll_step=5))
 
     def test_spec_keeps_the_configs_it_is_given(self):
         tight = EstimatorConfig(tau_max=9)
@@ -426,50 +437,62 @@ class TestColumnarScanOracle:
         assert result.pools[Method.DFA].h.tolist() != profile.pools[Method.DFA].h.tolist()
 
     # a budget that flushes every two or three instruments, and the real one, which flushes
-    # once the 3,200-day members fill it
+    # once the 3,200-day members fill it; roll 63 overlaps the windows, 64 abuts them and 80 leaves gaps
     @pytest.mark.parametrize("budget", [7000, pipeline._BATCH_POINTS], ids=["small", "real"])
-    @pytest.mark.parametrize("window, roll_step", [(64, 64), (64, 80)])
+    @pytest.mark.parametrize("window, roll_step", [(64, 63), (64, 64), (64, 80)])
     def test_batches_of_instruments_match_the_one_row_estimates(self, monkeypatch, budget, window, roll_step):
         universe = self._batch_universe()
         monkeypatch.setattr(pipeline, "_BATCH_POINTS", budget)
         calls = self._record_calls(monkeypatch)
         spec = ScanSpec(window=window, roll_step=roll_step)
         result = self._check(universe, spec)
-        # every call holds whole instruments, in id order, within the budget unless it holds one
-        rows = [
-            len(window_end_positions(len(s), window, roll_step))
-            for s in sorted(universe, key=lambda s: s.instrument_id)
-            if len(s) >= 2 * window
-        ]
-        bounds, calls_rows = set(np.cumsum(rows).tolist()), [len(w) for m, w in calls if m is Method.GHE]
-        assert [len(w) for m, w in calls if m is Method.DFA] == calls_rows
-        assert set(np.cumsum(calls_rows).tolist()) <= bounds and sum(calls_rows) == sum(rows)
-        assert all(n * window <= budget or n in rows for n in calls_rows)
-        # a batch ends only where the next instrument would take it past the budget
-        next_rows = dict(zip(np.cumsum(rows).tolist(), rows[1:]))
-        assert all((n + next_rows[end]) * window > budget for n, end in zip(calls_rows, np.cumsum(calls_rows)[:-1]))
-        assert 1 < len(calls_rows) < len(rows)  # flushed in the middle of the universe
+        views = []  # each scanned series' windows, in id order
+        for series in sorted(universe, key=lambda s: s.instrument_id):
+            if len(series) >= 2 * window:
+                count = len(window_end_positions(len(series), window, roll_step))
+                views.append(sliding_window_view(np.log(series.prices), window)[::roll_step][:count])
+        rows = [len(view) for view in views]
+        bounds, next_rows = set(np.cumsum(rows).tolist()), dict(zip(np.cumsum(rows).tolist(), rows[1:]))
+        # DFA and GM2 each read whole instruments, in id order, within the budget unless a call holds one
+        for method in (Method.DFA, Method.GM2):
+            read = [w for m, w in calls if m is method]
+            calls_rows = [len(w) for w in read]
+            assert np.array_equal(np.concatenate(read), np.concatenate(views))
+            assert set(np.cumsum(calls_rows).tolist()) <= bounds
+            assert all(n * window <= budget or n in rows for n in calls_rows)
+            # a batch ends only where the next instrument would take it past the budget
+            ends = np.cumsum(calls_rows)[:-1]
+            assert all((n + next_rows[end]) * window > budget for n, end in zip(calls_rows, ends))
+            assert 1 < len(calls_rows) < len(rows)  # flushed in the middle of the universe
+        ghe_read = [w for m, w in calls if m is Method.GHE]
+        if roll_step < window:  # one view per series, which GHE reads in place
+            assert [len(w) for w in ghe_read] == rows and not any(w.flags.owndata for w in ghe_read)
+        else:  # the same joined matrices as DFA and GM2
+            assert [len(w) for w in ghe_read] == [len(w) for m, w in calls if m is Method.DFA]
         assert sum(d.window_end is None for d in result.diagnostics) == 8
         assert sum(d.method is not None for d in result.diagnostics) > 0
 
     def test_overlapping_windows_keep_one_call_per_instrument(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_BATCH_POINTS", 10**9)
         calls = self._record_calls(monkeypatch)
-        scan(self._universe(), ScanSpec(window=64, roll_step=63, methods=(Method.GHE,)))
-        # ALPHA, MIKE and ZULU (SHORT is too short), each as a view of its own series, which GHE reads in place
-        assert [len(w) for _, w in calls] == [3, 2, 3]
-        assert not any(w.flags.owndata for _, w in calls)
+        scan(self._universe(), ScanSpec(window=64, roll_step=63))
+        # ALPHA, MIKE and ZULU (SHORT is too short), each as a view of its own series, which GHE reads in place;
+        # DFA and GM2 read all eight windows joined into one matrix
+        assert [len(w) for m, w in calls if m is Method.GHE] == [3, 2, 3]
+        assert not any(w.flags.owndata for m, w in calls if m is Method.GHE)
+        for method in (Method.DFA, Method.GM2):
+            assert [(len(w), w.flags.c_contiguous) for m, w in calls if m is method] == [(8, True)]
 
     @staticmethod
     def _record_calls(monkeypatch):
-        """Record the (method, windows) of every ``estimate_rows`` call ``scan`` makes."""
+        """Record the (method, windows) of every ``statistic`` call ``scan`` makes."""
         calls = []
 
-        def recording(method, windows, cfg=None):
+        def recording(method, windows, cfg):
             calls.append((method, windows))
-            return estimate_rows(method, windows, cfg)
+            return statistic(method, windows, cfg)
 
-        monkeypatch.setattr(pipeline, "estimate_rows", recording)
+        monkeypatch.setattr(pipeline, "statistic", recording)
         return calls
 
     @staticmethod
@@ -596,15 +619,18 @@ class TestPoolProperties:
             assert np.max(np.abs(a.h - b.h), initial=0.0) <= 1e-9
 
     @settings(max_examples=30, deadline=None)
+    # three batches of one 161-row instrument each, fitted in chunks of 200 rows: 161 + 39, 122 + 78, 83
+    @example(seed=5, lengths=[200, 200, 200], window=20, roll_step=1, budget=4000)
     @given(
         seed=st.integers(0, 2**32 - 1),
         lengths=st.lists(st.integers(30, 400), min_size=1, max_size=8),
         window=st.sampled_from([20, 32, 48]),
-        extra_roll=st.integers(0, 40),
+        roll_step=st.integers(1, 88),
         budget=st.integers(1, 4000),
     )
-    def test_merged_scan_joins_the_per_instrument_scans(self, seed, lengths, window, extra_roll, budget):
-        # short series, halts and batches of any size: merging instruments changes no row and no skip
+    def test_merged_scan_joins_the_per_instrument_scans(self, seed, lengths, window, roll_step, budget):
+        # short series, halts, overlapping or disjoint windows, and batches and fit chunks of any size
+        # (a chunk is budget // window rows, and may end in the middle of a batch): merging changes no row and no skip
         rng = np.random.Generator(np.random.PCG64(seed))
         universe = []
         for i, length in enumerate(lengths):
@@ -613,7 +639,7 @@ class TestPoolProperties:
                 start = int(rng.integers(0, length))
                 prices[start : start + int(rng.integers(1, 2 * window))] = prices[start]
             universe.append(PriceSeries(f"S{i}", np.arange(length), prices))
-        spec = ScanSpec(window=window, roll_step=window + extra_roll)
+        spec = ScanSpec(window=window, roll_step=roll_step)
         with mock.patch.object(pipeline, "_BATCH_POINTS", budget):
             merged = scan(universe, spec)
         alone = [scan([series], spec) for series in universe]
