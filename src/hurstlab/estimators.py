@@ -294,7 +294,7 @@ _ZERO_STATISTIC = {
 
 def _statistic_error(method: Method, stat: np.ndarray):
     """Why one row's statistic admits no log-log fit, in the estimator's words; None if it does."""
-    degenerate = not (stat > 0.0).any() if method is Method.GHE else (stat == 0.0).any()
+    degenerate = (stat == 0.0).all() if method is Method.GHE else (stat == 0.0).any()
     return DegenerateRegression(_ZERO_STATISTIC[method]) if degenerate else None
 
 
@@ -302,7 +302,7 @@ def fit_statistic(method: Method, stat: np.ndarray, cfg: EstimatorConfig) -> tup
     """Exponent and log-log fit of each row of a ``statistic``, the second stage of ``estimate_rows``."""
     scales = np.arange(1, cfg.tau_max + 1) if method is Method.GHE else np.array(cfg.scales())
     # lags whose statistic is exactly zero carry no scaling information
-    keep = stat > 0.0 if method is Method.GHE else None
+    keep = stat != 0.0 if method is Method.GHE else None
     with np.errstate(divide="ignore", invalid="ignore"):
         fits = fit_rows(np.log(scales), np.log(stat), keep)
     # a degenerate statistic always fails the fit; name that failure the estimator's way

@@ -157,8 +157,8 @@ def window_end_positions(length: int, window: int, roll_step: int) -> list[int]:
     return list(range(window - 1, last + 1, roll_step))
 
 
-# Window points per batch of instruments, and the rows worth as many per fit: a few
-# hundred rows amortize the per-call overhead, and a batch's matrix stays in cache.
+# Window points per batch of instruments, the one cutting rule of a scan: a few hundred
+# rows amortize each statistic and fit call, and a batch's matrix stays in cache.
 _BATCH_POINTS = 2**15
 
 
@@ -167,13 +167,14 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
 
     A series too short for even one observation (fewer than ``2*window``
     points) gives a single diagnostic.  The rest are taken in id order, in
-    the batches of ``_batches``, and each method's statistics are fitted
-    once per chunk of rows worth ``_BATCH_POINTS`` window points; the rows
-    a fit keeps extend that method's pool, so each pool is in canonical
-    order without a sort.  The spec has checked each config against the
-    window, so an estimator fails one row at a time: that (window end,
-    method) pair is skipped with a diagnostic.  Diagnostics come in
-    instrument, window-end and method order.  Ids must be unique.
+    the batches of ``_batches``.  Each method's statistic is computed and
+    fitted once per batch, then dropped, so memory grows with the longest
+    series and not with the universe.  The rows a fit keeps extend that
+    method's pool, so each pool is in canonical order without a sort.  The
+    spec has checked each config against the window, so an estimator fails
+    one row at a time: that (window end, method) pair is skipped with a
+    diagnostic.  Diagnostics come in instrument, window-end and method
+    order.  Ids must be unique.
     """
     series_list = sorted(universe, key=lambda s: s.instrument_id)
     if not series_list:
@@ -196,15 +197,10 @@ def scan(universe: Iterable[PriceSeries], spec: ScanSpec) -> ScanResult:
     # DFA and GM2 read a batch's windows joined into one matrix; when windows overlap, GHE reads each
     # instrument's view in place instead, so each lag's increments are computed once per series
     in_place = (Method.GHE,) if spec.roll_step < spec.window else ()
-    batches = (
-        (*head, *(
-            np.concatenate([statistic(m, w, configs[m]) for w in (views if m in in_place else [windows])])
-            for m in spec.methods
-        ))
-        for *head, windows, views in _batches(scannable, spec)
-    )
-    for ids, window_ends, forwards, *stats in _chunks(batches, max(1, _BATCH_POINTS // spec.window)):
-        for method, stat in zip(spec.methods, stats):
+    for ids, window_ends, forwards, windows, views in _batches(scannable, spec):
+        for method in spec.methods:
+            blocks = views if method in in_place else [windows]
+            stat = np.concatenate([statistic(method, block, configs[method]) for block in blocks])
             h, fits = fit_statistic(method, stat, configs[method])
             keep = ~np.isnan(h)
             columns[method].append((ids[keep], window_ends[keep], h[keep], forwards[keep]))
@@ -242,18 +238,6 @@ def _batches(series_list: list[PriceSeries], spec: ScanSpec):
         rows += len(ends)
     if parts:
         yield *map(np.concatenate, zip(*parts)), [part[3] for part in parts]
-
-
-def _chunks(parts, size: int):
-    """Re-cut a stream of tuples of row-aligned columns into tuples of ``size`` rows; the last may be shorter."""
-    rest = None
-    for part in parts:
-        rest = part if rest is None else tuple(map(np.concatenate, zip(rest, part)))
-        while len(rest[0]) >= size:
-            yield tuple(column[:size] for column in rest)
-            rest = tuple(column[size:] for column in rest)
-    if rest is not None and len(rest[0]):
-        yield rest
 
 
 def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:

@@ -16,6 +16,7 @@ from hurstlab import (
     HurstLabError,
     LogSeries,
     Method,
+    NonFiniteInput,
     SeriesTooShort,
     default_config,
     dfa,
@@ -471,6 +472,20 @@ class TestRowIndependence:
             assert _outcome(lambda: estimate_rows(method, matrix, cfg)) == _outcome(
                 lambda: fit_statistic(method, stat, cfg)
             )
+
+    @pytest.mark.parametrize("est", [ghe, dfa, gm2], ids=lambda est: est.__name__)
+    def test_a_nan_window_is_non_finite_input(self, est):
+        # one NaN reaches every lag, scale and block; GHE must not take its NaN lags for zero ones
+        stack = np.cumsum(np.random.Generator(np.random.PCG64(5)).standard_normal((4, 128)), axis=1)
+        stack[2, 50] = np.nan
+        with pytest.raises(NonFiniteInput, match="NaN or infinity"):
+            est(_series(stack[2]))
+        method = Method(est.__name__.upper())
+        h, fits = estimate_rows(method, stack)
+        assert list(fits.errors) == [2] and type(fits.errors[2]) is NonFiniteInput and np.isnan(h[2])
+        for i in (0, 1, 3):
+            alone = est(_series(stack[i]))
+            assert h[i : i + 1].tobytes() == np.float64(alone.h).tobytes() and fits.row(i) == alone.fit
 
 
 def _layouts(rng, window, rows, roll, start):

@@ -40,7 +40,7 @@ from hurstlab import (
     scan,
 )
 from hurstlab import pipeline
-from hurstlab.estimators import is_suspect, statistic
+from hurstlab.estimators import fit_statistic, is_suspect, statistic
 from hurstlab.pipeline import window_end_positions
 from hurstlab.reporting import observations_csv, render_method_table, report_csv
 
@@ -443,7 +443,7 @@ class TestColumnarScanOracle:
     def test_batches_of_instruments_match_the_one_row_estimates(self, monkeypatch, budget, window, roll_step):
         universe = self._batch_universe()
         monkeypatch.setattr(pipeline, "_BATCH_POINTS", budget)
-        calls = self._record_calls(monkeypatch)
+        calls, fits = self._record_calls(monkeypatch)
         spec = ScanSpec(window=window, roll_step=roll_step)
         result = self._check(universe, spec)
         views = []  # each scanned series' windows, in id order
@@ -464,6 +464,9 @@ class TestColumnarScanOracle:
             ends = np.cumsum(calls_rows)[:-1]
             assert all((n + next_rows[end]) * window > budget for n, end in zip(calls_rows, ends))
             assert 1 < len(calls_rows) < len(rows)  # flushed in the middle of the universe
+        # each batch is fitted where its statistics are made: once per method, in spec order
+        batch_rows = [len(w) for m, w in calls if m is Method.DFA]
+        assert fits == [(method, n) for n in batch_rows for method in spec.methods]
         ghe_read = [w for m, w in calls if m is Method.GHE]
         if roll_step < window:  # one view per series, which GHE reads in place
             assert [len(w) for w in ghe_read] == rows and not any(w.flags.owndata for w in ghe_read)
@@ -474,7 +477,7 @@ class TestColumnarScanOracle:
 
     def test_overlapping_windows_keep_one_call_per_instrument(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_BATCH_POINTS", 10**9)
-        calls = self._record_calls(monkeypatch)
+        calls, _ = self._record_calls(monkeypatch)
         scan(self._universe(), ScanSpec(window=64, roll_step=63))
         # ALPHA, MIKE and ZULU (SHORT is too short), each as a view of its own series, which GHE reads in place;
         # DFA and GM2 read all eight windows joined into one matrix
@@ -485,15 +488,21 @@ class TestColumnarScanOracle:
 
     @staticmethod
     def _record_calls(monkeypatch):
-        """Record the (method, windows) of every ``statistic`` call ``scan`` makes."""
-        calls = []
+        """Record the (method, windows) of every ``statistic`` call ``scan`` makes, and the (method, rows)
+        of every ``fit_statistic`` call."""
+        calls, fits = [], []
 
         def recording(method, windows, cfg):
             calls.append((method, windows))
             return statistic(method, windows, cfg)
 
+        def fitting(method, stat, cfg):
+            fits.append((method, len(stat)))
+            return fit_statistic(method, stat, cfg)
+
         monkeypatch.setattr(pipeline, "statistic", recording)
-        return calls
+        monkeypatch.setattr(pipeline, "fit_statistic", fitting)
+        return calls, fits
 
     @staticmethod
     def _batch_universe():
@@ -619,7 +628,7 @@ class TestPoolProperties:
             assert np.max(np.abs(a.h - b.h), initial=0.0) <= 1e-9
 
     @settings(max_examples=30, deadline=None)
-    # three batches of one 161-row instrument each, fitted in chunks of 200 rows: 161 + 39, 122 + 78, 83
+    # a budget under two instruments' rows: three batches of one 161-row instrument each, each fitted alone
     @example(seed=5, lengths=[200, 200, 200], window=20, roll_step=1, budget=4000)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -629,8 +638,8 @@ class TestPoolProperties:
         budget=st.integers(1, 4000),
     )
     def test_merged_scan_joins_the_per_instrument_scans(self, seed, lengths, window, roll_step, budget):
-        # short series, halts, overlapping or disjoint windows, and batches and fit chunks of any size
-        # (a chunk is budget // window rows, and may end in the middle of a batch): merging changes no row and no skip
+        # short series, halts, overlapping or disjoint windows, and batches of any size, each fitted as
+        # one statistic matrix: merging changes no row and no skip
         rng = np.random.Generator(np.random.PCG64(seed))
         universe = []
         for i, length in enumerate(lengths):
