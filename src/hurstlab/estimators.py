@@ -253,15 +253,17 @@ def _block_ramp(m: int):
 def _mean_block_ranges(values: np.ndarray, scales) -> np.ndarray:
     """``(rows, scales)`` mean max-min range of the non-overlapping blocks of each row.
 
-    Block extremes at each dyadic scale come from pairs of blocks at the
-    scale below.  Each scale's ranges are summed in sorted order
-    (zero-padded to the most numerous scale), so each mean is exactly
-    independent of the order of the blocks.
+    The smallest scale's extremes come from a block-major copy: one
+    elementwise max or min per block position over all blocks at once,
+    not one short reduction per block.  Each larger dyadic scale pairs
+    blocks of the scale below.  Max and min are exact.  Each scale's
+    ranges are summed in sorted order (zero-padded to the most numerous
+    scale), so each mean is exactly independent of the order of the blocks.
     """
     counts = [values.shape[-1] // m for m in scales]
     ranges = np.zeros((values.shape[0], len(scales), counts[0]))
-    blocks = _blocks(values, scales[0])
-    high, low = blocks.max(axis=-1), blocks.min(axis=-1)
+    blocks = np.ascontiguousarray(_blocks(values, scales[0]).transpose(2, 0, 1))
+    high, low = blocks.max(axis=0), blocks.min(axis=0)
     for i, d in enumerate(counts):
         if i:
             high = np.maximum(high[:, 0 : 2 * d : 2], high[:, 1 : 2 * d : 2])

@@ -126,6 +126,9 @@ def fit_rows(x, y, keep=None) -> RowFits:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    # a mask that keeps every point sums exactly what no mask sums
+    if keep is not None and keep.all():
+        keep = None
     if keep is None:
         n = np.full(len(y), y.shape[1])
     else:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidH
+from .estimators import require_integers
 from .series import LogSeries, PriceSeries
 
 __all__ = [
@@ -52,8 +53,11 @@ class FbmSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        require_integers(self, "length", "seed")
         if not 0.0 < self.h < 1.0:
             raise InvalidH(f"h must lie in (0, 1), got {self.h}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.length < 8:
             raise ValueError(f"length must be >= 8, got {self.length}")
         if not 0.0 < self.scale < np.inf:

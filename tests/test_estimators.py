@@ -355,6 +355,49 @@ class TestGm2:
         assert forward.fit == backward.fit
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        length=st.integers(17, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_block_extremes_equal_per_block_reductions(self, rows, length, seed, data):
+        # every row of the stack equals, bit for bit, its mean ranges from one max and one min per block
+        # and the same row alone; rows may hold a NaN, halt into constant blocks or hold signed zeros
+        rng = np.random.Generator(np.random.PCG64(seed))
+        stack = np.cumsum(rng.standard_normal((rows, length)), axis=1)
+        kinds = data.draw(st.lists(st.sampled_from(["walk", "nan", "halted", "zeros"]), min_size=rows, max_size=rows))
+        for i, kind in enumerate(kinds):
+            at = int(rng.integers(length))
+            if kind == "nan":
+                stack[i, at] = np.nan
+            elif kind == "halted":
+                stack[i, at:] = stack[i, at]
+            elif kind == "zeros":
+                stack[i] = rng.choice([0.0, -0.0, 1.0, -1.0], size=length, p=[0.45, 0.45, 0.05, 0.05])
+        cfg = default_config(Method.GM2, length)
+        stat = statistic(Method.GM2, stack, cfg)
+        assert stat.tobytes() == _per_block_mean_ranges(stack, cfg.scales()).tobytes()
+        for i in range(rows):
+            assert statistic(Method.GM2, stack[i : i + 1], cfg).tobytes() == stat[i].tobytes(), (i, kinds[i])
+
+
+def _per_block_mean_ranges(values, scales):
+    """GM2's statistic with each smallest-scale block reduced on its own, as ``_mean_block_ranges`` once did."""
+    counts = [values.shape[-1] // m for m in scales]
+    ranges = np.zeros((values.shape[0], len(scales), counts[0]))
+    blocks = _blocks(values, scales[0])
+    high, low = blocks.max(axis=-1), blocks.min(axis=-1)
+    for i, d in enumerate(counts):
+        if i:
+            high = np.maximum(high[:, 0 : 2 * d : 2], high[:, 1 : 2 * d : 2])
+            low = np.minimum(low[:, 0 : 2 * d : 2], low[:, 1 : 2 * d : 2])
+        np.subtract(high, low, out=ranges[:, i, :d])
+    ranges.sort(axis=-1)
+    return ranges.sum(axis=-1) / counts
+
+
 class TestSharedBehavior:
     def test_determinism_bit_identical(self):
         x = generate_fbm(FbmSpec(h=0.6, length=256, seed=9))

@@ -1,0 +1,64 @@
+"""Estimated exponents agree with the definitions in ``exact_reference`` to 1e-12."""
+
+import numpy as np
+import pytest
+
+import exact_reference as ref
+from hurstlab import (
+    DegenerateRegression,
+    FbmSpec,
+    LogSeries,
+    Method,
+    ScanSpec,
+    default_config,
+    generate_drifted_cohort,
+    generate_fbm,
+    gm2,
+    scan,
+)
+
+TOLERANCE = 1e-12
+
+
+def _series(values):
+    values = np.asarray(values, dtype=float)
+    return LogSeries("X", np.arange(len(values)), values)
+
+
+@pytest.mark.parametrize("length", [17, 64, 100, 512, 8192])
+def test_reference_block_sizes_are_the_estimator_defaults(length):
+    assert ref.gm2_block_sizes(length) == list(default_config(Method.GM2, length).scales())
+
+
+@pytest.mark.parametrize("length", [64, 512, 8192])
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+def test_gm2_agrees_with_the_exact_reference_on_fbm(h, length):
+    for seed in range(4):
+        values = generate_fbm(FbmSpec(h=h, length=length, seed=31_000 + seed)).values
+        assert abs(gm2(_series(values)).h - ref.gm2(values)) <= TOLERANCE, seed
+
+
+def test_gm2_agrees_with_the_exact_reference_on_halted_rows():
+    walk = np.cumsum(np.random.Generator(np.random.PCG64(7)).standard_normal(64))
+    halted = np.r_[walk[:16], np.full(48, walk[15])]  # constant blocks, but every scale has a range
+    assert abs(gm2(_series(halted)).h - ref.gm2(halted)) <= TOLERANCE
+    # a constant row, and a step row constant within every smallest (4-point) block
+    for degenerate in (np.full(64, 2.0), np.repeat(walk[:16], 4)):
+        with pytest.raises(DegenerateRegression):
+            gm2(_series(degenerate))
+        with pytest.raises(DegenerateRegression):
+            ref.gm2(degenerate)
+
+
+def test_gm2_pools_of_a_scan_agree_with_the_exact_reference():
+    # 20 seeded rows of each GM2 pool of a 6 x 400 scan: the batched path meets the reference too
+    drift = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
+    universe = generate_drifted_cohort(6, 400, tuple(drift), drift, seed=0, scale=0.005)
+    log_prices = {series.instrument_id: np.log(series.prices) for series in universe}
+    rng = np.random.Generator(np.random.PCG64(21))
+    for window in (32, 64, 128):
+        pool = scan(universe, ScanSpec(window=window, methods=(Method.GM2,))).pools[Method.GM2]
+        for i in rng.choice(len(pool), size=20, replace=False).tolist():
+            end = int(pool.window_end[i])
+            values = log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
+            assert abs(pool.h[i] - ref.gm2(values)) <= TOLERANCE, (window, i)

@@ -150,3 +150,46 @@ class TestOlsSlope:
         fits = fit_rows(x, np.array([[0.0, 1.0, 2.0], y]))
         assert sorted(fits.errors) == failed
         assert np.isnan(fits.slope[failed]).all()
+
+
+def _fit_columns(fits):
+    """Every column of a ``RowFits`` as bytes, and its errors as (row, class, message)."""
+    columns = tuple(getattr(fits, name).tobytes() for name in ("slope", "intercept", "r_squared", "n_points"))
+    return columns, [(i, type(e), str(e)) for i, e in sorted(fits.errors.items())]
+
+
+def _fit_table(seed):
+    """Log-log-like rows with a constant row, a NaN row and a row whose sums overflow, and their x."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.log(np.arange(1.0, 20.0))
+    y = 0.5 * x + rng.standard_normal((7, len(x)))
+    y[2] = -1.5
+    y[4, 3] = math.nan
+    y[5] = 1e308
+    y[6] = -0.0
+    return x, y
+
+
+class TestFitRowsMask:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_mask_that_keeps_every_point_is_no_mask(self, seed):
+        x, y = _fit_table(seed)
+        assert _fit_columns(fit_rows(x, y, np.ones(y.shape, bool))) == _fit_columns(fit_rows(x, y))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_that_keep_every_point_in_a_mixed_batch_equal_their_unmasked_fits(self, seed):
+        x, y = _fit_table(seed)
+        keep = np.ones(y.shape, bool)
+        keep[1, ::2] = False  # the masked route runs for the whole batch
+        keep[3, -5:] = False
+        mixed = fit_rows(x, y, keep)
+        for i in range(len(y)):
+            row = fit_rows(x, y[i : i + 1])
+            if keep[i].all():
+                for name in ("slope", "intercept", "r_squared", "n_points"):
+                    assert getattr(mixed, name)[i : i + 1].tobytes() == getattr(row, name).tobytes(), (i, name)
+                error = mixed.errors.get(i)
+                assert (type(error), str(error)) == (type(row.errors.get(0)), str(row.errors.get(0)))
+            else:
+                kept = fit_rows(x[keep[i]], y[i : i + 1, keep[i]])
+                assert mixed.slope[i] == pytest.approx(kept.slope[0], rel=1e-12)

@@ -23,6 +23,21 @@ class TestFbmSpec:
             with pytest.raises(ValueError, match="scale must be positive and finite"):
                 FbmSpec(h=0.5, length=64, seed=1, scale=scale)
 
+    @pytest.mark.parametrize("field, value", [("length", 64.0), ("seed", 1.5), ("length", "64"), ("seed", None)])
+    def test_non_integer_length_or_seed_raises_when_built(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            FbmSpec(h=0.5, **{"length": 64, "seed": 1, field: value})
+
+    def test_negative_seed_raises_when_built(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            FbmSpec(h=0.5, length=64, seed=-1)
+
+    def test_numpy_integer_length_and_seed_are_kept_as_ints(self):
+        spec = FbmSpec(h=0.5, length=np.int32(64), seed=np.uint64(3))
+        assert type(spec.length) is int and type(spec.seed) is int
+        assert spec == FbmSpec(h=0.5, length=64, seed=3)
+        assert generate_fbm(spec).values.tobytes() == generate_fbm(FbmSpec(h=0.5, length=64, seed=3)).values.tobytes()
+
 
 class TestGenerateFbm:
     def test_path_shape_and_origin(self):
