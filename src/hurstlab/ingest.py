@@ -10,7 +10,7 @@ Both directions work a column at a time: ingest validates whole columns
 of a bounded chunk of records and groups every row by packed
 (instrument, date) keys, sorted once unless they ascend already;
 ``write_csv`` renders each date string once and each instrument's rows
-with one join.
+with one ``%`` of a repeated row template.
 
 ``ingest_csv`` splits blocks of plain records (three bare printable ASCII
 fields, as ``write_csv`` writes them) at their commas; any other records go
@@ -323,6 +323,9 @@ def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
         days = np.unique(np.concatenate([s.dates for s in ordered]))
         iso = np.array([dt.date.fromordinal(_EPOCH + d).isoformat() for d in days.tolist()], dtype=object)
         for series in ordered:
-            prefix = _csv_field(series.instrument_id) + ","
-            rows = zip(iso[np.searchsorted(days, series.dates)].tolist(), series.prices.tolist())
-            f.write("".join([f"{prefix}{date},{price!r}\n" for date, price in rows]))
+            # one % of a repeated row template, the id escaped for it, over dates and prices in row order
+            row = _csv_field(series.instrument_id).replace("%", "%%") + ",%s,%r\n"
+            fields: list = [None] * (2 * len(series))
+            fields[0::2] = iso[np.searchsorted(days, series.dates)].tolist()
+            fields[1::2] = series.prices.tolist()
+            f.write((row * len(series)) % tuple(fields))

@@ -31,15 +31,20 @@ def observations_csv(pool: ObservationPool) -> str:
     """One (window, method) pool as CSV text, in canonical (instrument id, window end) order.
 
     An id holding a comma, quote or line break is quoted as ``csv`` does.
+    The whole pool is one ``%`` of a repeated row template over its fields
+    in row order; ``%s`` and ``%.9g`` print what ``{}`` and ``{:.9g}`` print.
     """
     header = ",".join(OBSERVATION_COLUMNS) + "\n"
     ids = pool.instrument_id.tolist()
     quoted = {name: _csv_field(name) for name in set(ids)}
-    ids = list(map(quoted.__getitem__, ids))
-    row = f"{{}},{{}},{pool.method.value},{{:.9g}},{{}},{{:.9g}}\n".format
-    suspect = np.where(pool.suspect, "true", "false").tolist()
-    h, forward = pool.h.tolist(), pool.forward_log_return.tolist()
-    return header + "".join(map(row, ids, pool.window_end.tolist(), h, suspect, forward))
+    fields: list = [None] * (5 * len(pool))
+    fields[0::5] = map(quoted.__getitem__, ids)
+    fields[1::5] = pool.window_end.tolist()
+    fields[2::5] = pool.h.tolist()
+    fields[3::5] = np.where(pool.suspect, "true", "false").tolist()
+    fields[4::5] = pool.forward_log_return.tolist()
+    row = f"%s,%s,{pool.method.value},%.9g,%s,%.9g\n"
+    return header + (row * len(pool)) % tuple(fields)
 
 
 def _all_rows(rep: BucketReport) -> list[BucketRow]:

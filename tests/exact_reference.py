@@ -11,6 +11,11 @@ on purpose; it is a judge, not an implementation.
   blocks of the series (tail remainder dropped) of each block's max-min
   range; the exponent is the least-squares slope of log mean range
   against log m.
+* GHE (Di Matteo 2007, Journal of Banking & Finance 31): for each lag
+  tau = 1..tau_max, the mean over the n - tau increments of
+  |X(t+tau) - X(t)|**q; lags whose moment is zero are dropped, and the
+  exponent is the least-squares slope of log moment against log tau,
+  divided by q.
 """
 
 from __future__ import annotations
@@ -59,3 +64,35 @@ def gm2(values) -> float:
     if min(ranges) == 0.0:
         raise DegenerateRegression("zero mean range at some block size")
     return least_squares_slope([math.log(m) for m in sizes], [math.log(r) for r in ranges])
+
+
+def ghe_tau_max(length: int) -> int:
+    """GHE's default largest lag for ``length`` points: 19, or ``length - 1`` if less, and at least 2."""
+    tau_max = 19
+    if length - 1 < tau_max:
+        tau_max = length - 1
+    if tau_max < 2:
+        tau_max = 2
+    return tau_max
+
+
+def lag_moment(values: list[float], tau: int, q: float) -> float:
+    """The mean of ``|X(t+tau) - X(t)|**q`` over the ``n - tau`` increments of ``values`` at lag ``tau``."""
+    moments = [abs(values[t + tau] - values[t]) ** q for t in range(len(values) - tau)]
+    return math.fsum(moments) / len(moments)
+
+
+def ghe(values, q: float = 1.0) -> float:
+    """GHE's exponent of one window of log prices at the default lags and moment order ``q``.
+
+    Raises ``DegenerateRegression`` when fewer than two lags have a
+    non-zero moment (none, for a constant row), so no slope is defined.
+    """
+    values = [float(v) for v in values]
+    lags = range(1, ghe_tau_max(len(values)) + 1)
+    moments = [(tau, lag_moment(values, tau, q)) for tau in lags]
+    kept = [(tau, m) for tau, m in moments if m != 0.0]
+    if len(kept) < 2:
+        raise DegenerateRegression("fewer than two lags with a non-zero moment")
+    slope = least_squares_slope([math.log(tau) for tau, _ in kept], [math.log(m) for _, m in kept])
+    return slope / q

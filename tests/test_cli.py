@@ -275,8 +275,11 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
 
     def test_ids_that_need_quoting_round_trip_through_observation_files(self, tmp_path):
-        ids = ("BRK,A", 'X"Y', "ZED")
-        cohort = generate_drifted_cohort(3, 400, (0.5,), {0.5: 0.0}, seed=4)
+        # each id as the file writes it: csv-quoted where needed, "%" verbatim
+        fields = {"BRK,A": '"BRK,A"', 'X"Y': '"X""Y"', "ZED": "ZED", "50%": "50%", "A%sB": "A%sB", "%%": "%%",
+                  '%,"x': '"%,""x"'}
+        ids = tuple(fields)
+        cohort = generate_drifted_cohort(len(ids), 400, (0.5,), {0.5: 0.0}, seed=4)
         csv_path = tmp_path / "u.csv"
         write_csv([PriceSeries(i, s.dates, s.prices) for i, s in zip(ids, cohort)], csv_path)
         out = tmp_path / "out"
@@ -287,9 +290,8 @@ class TestRun:
             assert rows and all(len(row) == 6 for row in rows), path.name
             assert sorted({row[0] for row in rows}) == sorted(ids)
         plain = (out / "observations_ghe_w32.csv").read_text(encoding="utf-8").splitlines()
-        assert any(line.startswith('"BRK,A",') for line in plain)
-        assert any(line.startswith('"X""Y",') for line in plain)
-        assert any(line.startswith("ZED,") for line in plain)
+        for field in fields.values():
+            assert any(line.startswith(field + ",") for line in plain), field
 
     def test_drifted_cohort_orders_extreme_buckets_everywhere(self, tmp_path):
         # end-to-end: the seeded 60-stock drift-ordered cohort must put the

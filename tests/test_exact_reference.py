@@ -1,5 +1,7 @@
 """Estimated exponents agree with the definitions in ``exact_reference`` to 1e-12."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hurstlab import (
     default_config,
     generate_drifted_cohort,
     generate_fbm,
+    ghe,
     gm2,
     scan,
 )
@@ -62,3 +65,55 @@ def test_gm2_pools_of_a_scan_agree_with_the_exact_reference():
             end = int(pool.window_end[i])
             values = log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
             assert abs(pool.h[i] - ref.gm2(values)) <= TOLERANCE, (window, i)
+
+
+def _fbm_prefix(h, length, seed):
+    """The first ``length`` points of a seeded fBm path (paths are made at 8 points or more)."""
+    return generate_fbm(FbmSpec(h=h, length=max(length, 8), seed=seed)).values[:length]
+
+
+@pytest.mark.parametrize("length", [3, 5, 17, 20, 21, 64, 512])
+def test_reference_lags_are_the_estimator_defaults(length):
+    assert ref.ghe_tau_max(length) == default_config(Method.GHE, length).tau_max
+
+
+@pytest.mark.parametrize("length", [5, 17, 32, 64, 512])
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+def test_ghe_agrees_with_the_exact_reference_on_fbm(h, length):
+    for seed in range(2):
+        values = _fbm_prefix(h, length, 32_000 + seed)
+        assert abs(ghe(_series(values)).h - ref.ghe(values)) <= TOLERANCE, seed
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("length", [17, 64, 512])
+def test_ghe_agrees_with_the_exact_reference_at_every_moment_order(q, length):
+    cfg = replace(default_config(Method.GHE, length), q=q)
+    for h in (0.3, 0.7):
+        values = _fbm_prefix(h, length, 33_000)
+        assert abs(ghe(_series(values), cfg).h - ref.ghe(values, q)) <= TOLERANCE, h
+
+
+def test_ghe_agrees_with_the_exact_reference_on_degenerate_rows():
+    # a period-2 row: every even lag's moment is zero and is dropped, the odd lags fit a flat line
+    period2 = np.tile([1.0, 1.5], 32)
+    assert abs(ghe(_series(period2)).h - ref.ghe(period2)) <= TOLERANCE
+    constant = np.full(64, 2.0)
+    with pytest.raises(DegenerateRegression):
+        ghe(_series(constant))
+    with pytest.raises(DegenerateRegression):
+        ref.ghe(constant)
+
+
+def test_ghe_pools_of_a_scan_agree_with_the_exact_reference():
+    # 20 seeded rows of each GHE pool of a 6 x 400 scan: the batched path meets the reference too
+    drift = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
+    universe = generate_drifted_cohort(6, 400, tuple(drift), drift, seed=0, scale=0.005)
+    log_prices = {series.instrument_id: np.log(series.prices) for series in universe}
+    rng = np.random.Generator(np.random.PCG64(22))
+    for window in (32, 64, 128):
+        pool = scan(universe, ScanSpec(window=window, methods=(Method.GHE,))).pools[Method.GHE]
+        for i in rng.choice(len(pool), size=20, replace=False).tolist():
+            end = int(pool.window_end[i])
+            values = log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
+            assert abs(pool.h[i] - ref.ghe(values)) <= TOLERANCE, (window, i)

@@ -435,16 +435,30 @@ class TestIngest:
         assert series.instrument_id == "ACME"
 
     def test_ids_that_need_quoting_round_trip(self, tmp_path):
-        universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in ("BRK,A", 'X"Y', "Z")]
+        # each id as written: quoted where csv quotes it, and "%" verbatim, though rows go through a % template
+        fields = {"BRK,A": '"BRK,A"', 'X"Y': '"X""Y"', "Z": "Z", "50%": "50%", "A%sB": "A%sB", "%%": "%%",
+                  '%,"x': '"%,""x"'}
+        universe = [PriceSeries(name, np.arange(3), [1.0, 2.5, 3.0]) for name in fields]
         path = tmp_path / "u.csv"
         write_csv(universe, path)
         text = path.read_text()
-        assert '"BRK,A",2000-01-03,1.0\n' in text
-        assert '"X""Y",2000-01-03,1.0\n' in text
-        assert "Z,2000-01-03,1.0\n" in text
+        for field in fields.values():
+            assert f"{field},2000-01-03,1.0\n{field},2000-01-04,2.5\n{field},2000-01-05,3.0\n" in text
         back = ingest_csv(path)
-        assert [s.instrument_id for s in back] == ["BRK,A", 'X"Y', "Z"]
+        assert [s.instrument_id for s in back] == sorted(fields)
         assert all(np.array_equal(s.prices, [1.0, 2.5, 3.0]) for s in back)
+
+    def test_edge_prices_print_as_the_per_row_form(self, tmp_path):
+        prices = [5e-324, 1e-5, 0.1, 1e16, 123456789.5, 1.7976931348623157e308]
+        series = PriceSeries("E", np.arange(len(prices)), prices)
+        path = tmp_path / "u.csv"
+        write_csv([series], path)
+        # the per-row f-string form, as the oracle for the bytes
+        dates = [dt.date(2000, 1, 3) + dt.timedelta(days=d) for d in range(len(prices))]
+        rows = "".join([f"E,{date.isoformat()},{price!r}\n" for date, price in zip(dates, prices)])
+        assert path.read_text() == "instrument,date,price\n" + rows
+        (back,) = ingest_csv(path)
+        assert back.prices.tolist() == prices
 
     @pytest.mark.parametrize("lost", [" A", "A ", "\tA", "A\n", ""])
     def test_ids_that_would_not_read_back_are_rejected(self, tmp_path, lost):

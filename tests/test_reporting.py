@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from hurstlab import Method, ObservationPool, PriceSeries, ScanSpec, report, scan
+from hurstlab.ingest import _csv_field
 from hurstlab.reporting import (
     OBSERVATION_COLUMNS,
     observations_csv,
@@ -47,7 +49,28 @@ def _pool(rows):
     return ObservationPool(128, Method.GHE, ids, np.array(ends), np.array(hs), np.array(fwds))
 
 
+# floats whose 9-digit forms are edge cases: signed zero, the least subnormal, exponent switches, the largest
+EDGE_FLOATS = (-0.0, 5e-324, 1e-5, 0.1, 1e16, 123456789.5, 1.7976931348623157e308)
+
+
+def _per_row_csv(pool):
+    """The per-row f-string form of ``observations_csv``: the oracle for its bytes."""
+    header = ",".join(OBSERVATION_COLUMNS) + "\n"
+    ids = [_csv_field(name) for name in pool.instrument_id.tolist()]
+    row = f"{{}},{{}},{pool.method.value},{{:.9g}},{{}},{{:.9g}}\n".format
+    suspect = np.where(pool.suspect, "true", "false").tolist()
+    h, forward = pool.h.tolist(), pool.forward_log_return.tolist()
+    return header + "".join(map(row, ids, pool.window_end.tolist(), h, suspect, forward))
+
+
 class TestObservationCsv:
+    def test_edge_floats_print_as_the_per_row_form(self):
+        values = [*EDGE_FLOATS, *(-v for v in EDGE_FLOATS)]
+        pool = _pool([("E", 127 + 20 * i, h, f) for i, (h, f) in enumerate(itertools.product(values, values))])
+        assert observations_csv(pool) == _per_row_csv(pool)
+        empty = pool.select(np.zeros(len(pool), dtype=bool))
+        assert observations_csv(empty) == _per_row_csv(empty) == ",".join(OBSERVATION_COLUMNS) + "\n"
+
     def test_exact_format_and_significant_digits(self):
         pool = _pool([("ACME", 127, 0.123456789123, -0.00123456789123), ("ACME", 147, 2.5, 0.25)])
         text = observations_csv(pool)
