@@ -48,7 +48,6 @@ from .series import (
     PriceSeries,
     RegressionFit,
     ols_slope_xy,
-    to_log_prices,
 )
 from .synthetic import FbmSpec, fgn_autocovariance, generate_drifted_cohort, generate_fbm
 

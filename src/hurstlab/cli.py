@@ -17,7 +17,6 @@ output trees.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -165,14 +164,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     # once every group has succeeded, so a failed run leaves --out as it was.
     target = out_dir.resolve()
     target.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
-    try:
-        summary_reports, total_diagnostics = _write_groups(args, universe, specs, staging)
+    with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent) as staging:
+        summary_reports, total_diagnostics = _write_groups(args, universe, specs, Path(staging))
         target.mkdir(exist_ok=True)
-        for path in sorted(staging.iterdir()):
+        for path in sorted(Path(staging).iterdir()):
             path.replace(target / path.name)
-    finally:
-        shutil.rmtree(staging)
     for method in methods:
         print(render_method_table(summary_reports[method]))
     print(f"universe: {len(universe)} instruments; skipped estimates/series: {total_diagnostics}")

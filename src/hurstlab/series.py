@@ -21,7 +21,6 @@ __all__ = [
     "LogSeries",
     "RegressionFit",
     "RowFits",
-    "to_log_prices",
     "ols_slope_xy",
     "fit_rows",
 ]
@@ -84,11 +83,6 @@ class RegressionFit:
     intercept: float
     r_squared: float
     n_points: int
-
-
-def to_log_prices(series: PriceSeries) -> LogSeries:
-    """Natural log of each price, all positive by construction; dates carried through unchanged."""
-    return LogSeries(series.instrument_id, series.dates, np.log(series.prices))
 
 
 @dataclass(frozen=True, eq=False)

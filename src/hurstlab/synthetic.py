@@ -62,6 +62,9 @@ class FbmSpec:
             raise ValueError(f"length must be >= 8, got {self.length}")
         if not 0.0 < self.scale < np.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        # every circulant eigenvalue is at most 2 * length * scale**2
+        if not 2.0 * self.length * float(self.scale) * float(self.scale) < np.inf:
+            raise ValueError(f"scale {self.scale} overflows the spectrum of {self.length} points")
 
 
 def fgn_autocovariance(h: float, lags, scale: float = 1.0) -> np.ndarray:
@@ -166,7 +169,11 @@ def generate_drifted_cohort(
     h_values = tuple(float(h) for h in h_values)
     if not h_values:
         raise ValueError("h_values must be non-empty")
-    specs = {h: FbmSpec(h=h, length=length, seed=0, scale=scale) for h in h_values}  # checks each h
+    specs = {h: FbmSpec(h=h, length=length, seed=seed, scale=scale) for h in h_values}  # checks h and seed
+    drifts = {h: float(drift_per_h.get(h, np.nan)) for h in h_values}
+    for h, drift in drifts.items():
+        if not np.isfinite(drift):
+            raise ValueError(f"drift for h={h:g} must be given and finite, got {drift_per_h.get(h)}")
     seeder = np.random.Generator(np.random.PCG64(seed))
     t = np.arange(length, dtype=np.float64)
     cohort = []
@@ -174,6 +181,8 @@ def generate_drifted_cohort(
         h = h_values[i % len(h_values)]
         sub_seed = int(seeder.integers(0, 2 ** 63, dtype=np.int64))
         path = generate_fbm(replace(specs[h], seed=sub_seed))
-        prices = np.exp(path.values + float(drift_per_h[h]) * t)
+        # an overflowing price fails PriceSeries' non-finite check, not as a numpy warning
+        with np.errstate(over="ignore"):
+            prices = np.exp(path.values + drifts[h] * t)
         cohort.append(PriceSeries(f"SYN{i:03d}", np.arange(length), prices))
     return cohort

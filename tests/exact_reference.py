@@ -2,9 +2,10 @@
 
 Nothing here calls ``hurstlab.estimators`` or takes its shortcuts: the
 default scales are derived again from the rule the estimator documents,
-every sum is a ``math.fsum`` of Python floats, and block extremes are
-plain ``max`` and ``min`` over each block.  The code is slow and plain
-on purpose; it is a judge, not an implementation.
+every float sum is a ``math.fsum`` of Python floats, block extremes are
+plain ``max`` and ``min`` over each block, and DFA's profile and block
+detrending are exact ``fractions.Fraction`` arithmetic.  The code is slow
+and plain on purpose; it is a judge, not an implementation.
 
 * GM2 (Sanchez-Granero, Trinidad Segovia & Garcia Perez 2008, Physica A
   387): for each dyadic block size m, the mean over the non-overlapping
@@ -16,24 +17,35 @@ on purpose; it is a judge, not an implementation.
   |X(t+tau) - X(t)|**q; lags whose moment is zero are dropped, and the
   exponent is the least-squares slope of log moment against log tau,
   divided by q.
+* DFA (Peng et al. 1994, Phys. Rev. E 49; Kantelhardt et al. 2002,
+  Physica A 316): the signal is the cumulative profile of the mean-centred
+  log returns (n - 1 points), or the log prices themselves in raw mode.
+  For each dyadic scale m it is cut into non-overlapping blocks from its
+  start (tail remainder dropped); B is the mean squared residual of each
+  block's least-squares line, and F_m = (mean over blocks of
+  B**(q/2))**(1/q).  The exponent is the least-squares slope of log F_m
+  against log m.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from hurstlab.errors import DegenerateRegression
 
 
-def gm2_block_sizes(length: int) -> list[int]:
-    """GM2's default block sizes for ``length`` points: 2**k for k_max - 3 <= k <= k_max, k >= 2.
-
-    ``k_max`` is the largest k with ``2**k <= length / 2``, and at least 4.
-    """
+def largest_block_exponent(length: int) -> int:
+    """The default ``k_max`` for ``length`` points: the largest k with ``2**k <= length / 2``, and at least 4."""
     k_max = 0
     while 2 ** (k_max + 1) <= length / 2:
         k_max += 1
-    k_max = max(k_max, 4)
+    return max(k_max, 4)
+
+
+def gm2_block_sizes(length: int) -> list[int]:
+    """GM2's default block sizes for ``length`` points: 2**k for k_max - 3 <= k <= k_max, k >= 2."""
+    k_max = largest_block_exponent(length)
     return [2**k for k in range(max(2, k_max - 3), k_max + 1)]
 
 
@@ -96,3 +108,59 @@ def ghe(values, q: float = 1.0) -> float:
         raise DegenerateRegression("fewer than two lags with a non-zero moment")
     slope = least_squares_slope([math.log(tau) for tau, _ in kept], [math.log(m) for _, m in kept])
     return slope / q
+
+
+def dfa_scales(length: int) -> list[int]:
+    """DFA's default scales for a window of ``length`` log prices: 2**k for 2 <= k <= k_max."""
+    return [2**k for k in range(2, largest_block_exponent(length) + 1)]
+
+
+def dfa_signal(values, mode: str = "profile") -> list[Fraction]:
+    """The series DFA detrends, exactly: the cumulative profile of mean-centred log returns, or the log prices."""
+    x = [Fraction(float(v)) for v in values]
+    if mode == "raw":
+        return x
+    returns = [b - a for a, b in zip(x, x[1:])]
+    mean = sum(returns, Fraction(0)) / len(returns)
+    profile, total = [], Fraction(0)
+    for r in returns:
+        total += r - mean
+        profile.append(total)
+    return profile
+
+
+def mean_squared_residual(block: list[Fraction]) -> Fraction:
+    """The mean squared residual of ``block`` about its least-squares line over t = 0..m-1, exactly."""
+    m = len(block)
+    t_mean = Fraction(m - 1, 2)
+    y_mean = sum(block, Fraction(0)) / m
+    sxx = sum((t - t_mean) ** 2 for t in range(m))
+    slope = sum((t - t_mean) * (y - y_mean) for t, y in enumerate(block)) / sxx
+    intercept = y_mean - slope * t_mean
+    return sum((y - intercept - slope * t) ** 2 for t, y in enumerate(block)) / m
+
+
+def dfa_block_residuals(values, mode: str = "profile") -> dict[int, list[Fraction]]:
+    """Each default scale's exact mean squared residuals B, one per non-overlapping block of the signal."""
+    signal = dfa_signal(values, mode)
+    return {
+        m: [mean_squared_residual(signal[start : start + m]) for start in range(0, len(signal) - m + 1, m)]
+        for m in dfa_scales(len(values))
+    }
+
+
+def dfa_from_residuals(residuals: dict[int, list[Fraction]], q: float = 2.0) -> float:
+    """DFA's exponent at moment order ``q`` from ``dfa_block_residuals``.
+
+    Raises ``DegenerateRegression`` when the fluctuation at some scale is
+    zero (every block of that size is exactly linear), whose log is undefined.
+    """
+    fluct = [(math.fsum(float(b) ** (q / 2) for b in bs) / len(bs)) ** (1 / q) for bs in residuals.values()]
+    if min(fluct) == 0.0:
+        raise DegenerateRegression("zero fluctuation at some scale")
+    return least_squares_slope([math.log(m) for m in residuals], [math.log(f) for f in fluct])
+
+
+def dfa(values, q: float = 2.0, mode: str = "profile") -> float:
+    """DFA's exponent of one window of log prices at the default scales, moment order ``q`` and ``mode``."""
+    return dfa_from_residuals(dfa_block_residuals(values, mode), q)

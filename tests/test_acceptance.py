@@ -190,9 +190,7 @@ def test_criterion_6_exactness_suite():
     prices = 50.0 * np.exp(v * 0.01)
     p1 = PriceSeries("a", np.arange(512), prices)
     p2 = PriceSeries("a", np.arange(512), prices * 2.0)
-    from hurstlab import to_log_prices
-
-    l1, l2 = to_log_prices(p1), to_log_prices(p2)
+    l1, l2 = (LogSeries(p.instrument_id, p.dates, np.log(p.prices)) for p in (p1, p2))
     price_errs = {
         m.value: abs(estimate(m, l1).h - estimate(m, l2).h) for m in Method
     }

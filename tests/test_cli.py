@@ -318,6 +318,21 @@ class TestRun:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--synthetic-cohort", "--windows", "32"], ["synth"]],
+                         ids=["run", "synth"])
+@pytest.mark.parametrize("setting, error", [
+    (["--h-values", "0.5", "--drifts", "inf"], "drift for h=0.5 must be given and finite, got inf"),
+    (["--fbm-scale", "100"], "SYN000: non-finite price"),
+    (["--drifts", "10,0,0"], "SYN000: non-finite price"),
+    (["--fbm-scale", "1e155"], "scale 1e+155 overflows the spectrum of 400 points"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["infinite-drift", "wide-steps", "steep-drift", "huge-scale", "negative-seed"])
+def test_cohort_that_cannot_be_synthesized_fails_with_an_error_line(tmp_path, capsys, command, setting, error):
+    assert _run([*command, "--n", "6", "--len", "400", *setting, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSynth:
     def test_writes_ingestible_cohort(self, tmp_path):
         path = tmp_path / "cohort.csv"

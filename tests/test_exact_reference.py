@@ -7,18 +7,22 @@ import pytest
 
 import exact_reference as ref
 from hurstlab import (
+    DFA_MODE_PROFILE,
+    DFA_MODE_RAW,
     DegenerateRegression,
     FbmSpec,
     LogSeries,
     Method,
     ScanSpec,
     default_config,
+    dfa,
     generate_drifted_cohort,
     generate_fbm,
     ghe,
     gm2,
     scan,
 )
+from test_pipeline import _halted_walk
 
 TOLERANCE = 1e-12
 
@@ -26,6 +30,20 @@ TOLERANCE = 1e-12
 def _series(values):
     values = np.asarray(values, dtype=float)
     return LogSeries("X", np.arange(len(values)), values)
+
+
+def _pool_rows(method, windows, seed, dfa_mode=DFA_MODE_PROFILE):
+    """20 seeded rows of each ``method`` pool of a 6 x 400 scan, as (window, h, the window's log prices)."""
+    drift = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
+    universe = generate_drifted_cohort(6, 400, tuple(drift), drift, seed=0, scale=0.005)
+    log_prices = {series.instrument_id: np.log(series.prices) for series in universe}
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for window in windows:
+        cfg = default_config(method, window, dfa_mode=dfa_mode)
+        pool = scan(universe, ScanSpec(window=window, methods=(method,), configs={method: cfg})).pools[method]
+        for i in rng.choice(len(pool), size=20, replace=False).tolist():
+            end = int(pool.window_end[i])
+            yield window, pool.h[i], log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
 
 
 @pytest.mark.parametrize("length", [17, 64, 100, 512, 8192])
@@ -54,17 +72,9 @@ def test_gm2_agrees_with_the_exact_reference_on_halted_rows():
 
 
 def test_gm2_pools_of_a_scan_agree_with_the_exact_reference():
-    # 20 seeded rows of each GM2 pool of a 6 x 400 scan: the batched path meets the reference too
-    drift = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
-    universe = generate_drifted_cohort(6, 400, tuple(drift), drift, seed=0, scale=0.005)
-    log_prices = {series.instrument_id: np.log(series.prices) for series in universe}
-    rng = np.random.Generator(np.random.PCG64(21))
-    for window in (32, 64, 128):
-        pool = scan(universe, ScanSpec(window=window, methods=(Method.GM2,))).pools[Method.GM2]
-        for i in rng.choice(len(pool), size=20, replace=False).tolist():
-            end = int(pool.window_end[i])
-            values = log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
-            assert abs(pool.h[i] - ref.gm2(values)) <= TOLERANCE, (window, i)
+    # the batched path meets the reference too
+    for window, h, values in _pool_rows(Method.GM2, (32, 64, 128), seed=21):
+        assert abs(h - ref.gm2(values)) <= TOLERANCE, (window, h)
 
 
 def _fbm_prefix(h, length, seed):
@@ -106,14 +116,50 @@ def test_ghe_agrees_with_the_exact_reference_on_degenerate_rows():
 
 
 def test_ghe_pools_of_a_scan_agree_with_the_exact_reference():
-    # 20 seeded rows of each GHE pool of a 6 x 400 scan: the batched path meets the reference too
-    drift = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
-    universe = generate_drifted_cohort(6, 400, tuple(drift), drift, seed=0, scale=0.005)
-    log_prices = {series.instrument_id: np.log(series.prices) for series in universe}
-    rng = np.random.Generator(np.random.PCG64(22))
-    for window in (32, 64, 128):
-        pool = scan(universe, ScanSpec(window=window, methods=(Method.GHE,))).pools[Method.GHE]
-        for i in rng.choice(len(pool), size=20, replace=False).tolist():
-            end = int(pool.window_end[i])
-            values = log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
-            assert abs(pool.h[i] - ref.ghe(values)) <= TOLERANCE, (window, i)
+    # the batched path meets the reference too
+    for window, h, values in _pool_rows(Method.GHE, (32, 64, 128), seed=22):
+        assert abs(h - ref.ghe(values)) <= TOLERANCE, (window, h)
+
+
+@pytest.mark.parametrize("length", [32, 33, 64, 100, 512, 8192])
+def test_reference_dfa_scales_are_the_estimator_defaults(length):
+    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+        assert ref.dfa_scales(length) == list(default_config(Method.DFA, length, dfa_mode=mode).scales())
+
+
+@pytest.mark.parametrize("length", [64, 512])
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+def test_dfa_agrees_with_the_exact_reference_on_fbm(h, length):
+    values = generate_fbm(FbmSpec(h=h, length=length, seed=34_000)).values
+    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+        residuals = ref.dfa_block_residuals(values, mode)  # exact and slow, so shared by every q
+        for q in (0.5, 1.0, 2.0, 3.0):
+            cfg = replace(default_config(Method.DFA, length, dfa_mode=mode), q=q)
+            assert abs(dfa(_series(values), cfg).h - ref.dfa_from_residuals(residuals, q)) <= TOLERANCE, (mode, q)
+
+
+def test_dfa_agrees_with_the_exact_reference_on_degenerate_rows():
+    values = np.log(_halted_walk().prices)
+    # the halt (days 120-219) covers the one 16-point profile block of the windows starting on
+    # days 192, 196 and 200, which is then exactly linear; from day 204 on that block leaves the halt
+    for start in (192, 196, 200):
+        window = values[start : start + 32]
+        with pytest.raises(DegenerateRegression):
+            dfa(_series(window))
+        with pytest.raises(DegenerateRegression):
+            ref.dfa(window)
+    partly_halted = values[204 : 204 + 32]  # its first 4- and 8-point profile blocks are still exactly linear
+    assert abs(dfa(_series(partly_halted)).h - ref.dfa(partly_halted)) <= TOLERANCE
+    constant = np.full(64, 2.0)
+    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+        with pytest.raises(DegenerateRegression):
+            dfa(_series(constant), default_config(Method.DFA, 64, dfa_mode=mode))
+        with pytest.raises(DegenerateRegression):
+            ref.dfa(constant, mode=mode)
+
+
+def test_dfa_pools_of_a_scan_agree_with_the_exact_reference():
+    # the batched path meets the reference too, in both modes
+    for windows, seed, mode in (((32, 64, 128), 23, DFA_MODE_PROFILE), ((64,), 24, DFA_MODE_RAW)):
+        for window, h, values in _pool_rows(Method.DFA, windows, seed, mode):
+            assert abs(h - ref.dfa(values, mode=mode)) <= TOLERANCE, (mode, window, h)

@@ -9,7 +9,6 @@ from hurstlab import (
     NonPositivePrice,
     PriceSeries,
     ols_slope_xy,
-    to_log_prices,
 )
 from hurstlab.series import fit_rows
 
@@ -55,32 +54,6 @@ class TestPriceSeries:
         s = _prices([1.0, 2.0])
         with pytest.raises(ValueError):
             s.prices[0] = 9.0
-
-
-class TestToLogPrices:
-    def test_unit_prices_give_exact_zero(self):
-        out = to_log_prices(_prices([1.0] * 5))
-        assert out.values.tolist() == [0.0] * 5
-
-    def test_e_powers(self):
-        out = to_log_prices(_prices([1.0, math.e, math.e ** 2]))
-        assert out.values == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
-
-    def test_doubling_prices_increment_by_ln2(self):
-        out = to_log_prices(_prices([100.0, 200.0, 400.0]))
-        deltas = np.diff(out.values)
-        assert deltas == pytest.approx([math.log(2.0)] * 2, rel=1e-12)
-
-    def test_dates_carried_through(self):
-        s = PriceSeries("X", np.array([3, 7, 9]), np.array([1.0, 2.0, 3.0]))
-        out = to_log_prices(s)
-        assert out.dates.tolist() == [3, 7, 9]
-
-    def test_exp_round_trip(self):
-        prices = np.array([0.02, 1.0, 37.5, 1234.5678])
-        s = PriceSeries("X", np.arange(4), prices)
-        back = np.exp(to_log_prices(s).values)
-        assert np.max(np.abs(back - prices) / prices) <= 1e-12
 
 
 class TestOlsSlope:

@@ -1,9 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hurstlab import FbmSpec, InvalidH, fgn_autocovariance, generate_drifted_cohort, generate_fbm
+from hurstlab import (
+    FbmSpec,
+    InvalidH,
+    NonFiniteInput,
+    fgn_autocovariance,
+    generate_drifted_cohort,
+    generate_fbm,
+)
 from hurstlab import synthetic
 from hurstlab.synthetic import _circulant_roots, _fgn_circulant, _fgn_hosking
 
@@ -31,6 +39,19 @@ class TestFbmSpec:
     def test_negative_seed_raises_when_built(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             FbmSpec(h=0.5, length=64, seed=-1)
+
+    @pytest.mark.parametrize("h, length, scale", [(0.5, 400, 1e155), (0.9, 2048, 1e153)])
+    def test_scale_that_overflows_the_spectrum_raises_when_built(self, h, length, scale):
+        # unbounded, 1e155 overflows the fGn covariance and 1e153 its FFT
+        message = f"scale {scale} overflows the spectrum of {length} points"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FbmSpec(h=h, length=length, seed=1, scale=scale)
+
+    def test_largest_scale_within_the_bound_gives_a_finite_path(self):
+        scale = math.sqrt(np.finfo(float).max / (2 * 2048))
+        while not 2.0 * 2048 * scale * scale < math.inf:
+            scale = math.nextafter(scale, 0.0)
+        assert np.isfinite(generate_fbm(FbmSpec(h=0.9, length=2048, seed=1, scale=scale)).values).all()
 
     def test_numpy_integer_length_and_seed_are_kept_as_ints(self):
         spec = FbmSpec(h=0.5, length=np.int32(64), seed=np.uint64(3))
@@ -231,3 +252,25 @@ class TestDriftedCohort:
             generate_drifted_cohort(0, 32, [0.5], {0.5: 0.0}, seed=1)
         with pytest.raises(ValueError):
             generate_drifted_cohort(2, 32, [], {}, seed=1)
+
+    @pytest.mark.parametrize("drift_per_h, seed, error, message", [
+        ({0.3: 0.0}, 0, ValueError, "drift for h=0.5 must be given and finite, got None"),
+        ({0.3: 0.0, 0.5: math.inf}, 0, ValueError, "drift for h=0.5 must be given and finite, got inf"),
+        ({0.3: 0.0, 0.5: math.nan}, 0, ValueError, "drift for h=0.5 must be given and finite, got nan"),
+        ({0.3: 0.0, 0.5: 0.0}, -1, ValueError, "seed must be >= 0, got -1"),
+        ({0.3: 0.0, 0.5: 0.0}, 1.5, TypeError, "seed must be an integer, got 1.5"),
+    ], ids=["missing-drift", "infinite-drift", "nan-drift", "negative-seed", "fractional-seed"])
+    def test_settings_fail_before_any_path_is_drawn(self, monkeypatch, drift_per_h, seed, error, message):
+        def no_path(spec):
+            raise AssertionError("a path was drawn before the settings were checked")
+
+        monkeypatch.setattr(synthetic, "generate_fbm", no_path)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            generate_drifted_cohort(2, 100, [0.3, 0.5], drift_per_h, seed=seed)
+
+    @pytest.mark.parametrize("drifts, scale", [((10.0, 0.0, 0.0), 0.005), ((0.0, 0.0, 0.0), 100.0)],
+                             ids=["steep-drift", "wide-steps"])
+    def test_overflowing_prices_fail_the_non_finite_price_check(self, drifts, scale):
+        drift_per_h = dict(zip((0.3, 0.5, 0.7), drifts))
+        with pytest.raises(NonFiniteInput, match="^SYN000: non-finite price$"):
+            generate_drifted_cohort(6, 400, tuple(drift_per_h), drift_per_h, seed=0, scale=scale)
