@@ -7,6 +7,7 @@ from .errors import (
     EmptyUniverse,
     HurstLabError,
     InvalidH,
+    InvalidSetting,
     MalformedRow,
     NonFiniteInput,
     NonPositivePrice,
@@ -47,7 +48,6 @@ from .series import (
     LogSeries,
     PriceSeries,
     RegressionFit,
-    ols_slope_xy,
 )
 from .synthetic import FbmSpec, fgn_autocovariance, generate_drifted_cohort, generate_fbm
 

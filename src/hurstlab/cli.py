@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HurstLabError, OSError, ValueError) as exc:
+    except (HurstLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,10 @@ class DegenerateRegression(HurstLabError):
     """A least-squares fit has no slope: fewer than 2 points or no x spread."""
 
 
+class InvalidSetting(HurstLabError, ValueError):
+    """A setting or an input is outside what the routine given it accepts."""
+
+
 class InvalidH(HurstLabError):
     """Requested self-similarity parameter outside the open interval (0, 1)."""
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DegenerateRegression, SeriesTooShort
+from .errors import DegenerateRegression, InvalidSetting, SeriesTooShort
 from .series import LogSeries, RegressionFit, RowFits, fit_rows
 
 __all__ = [
@@ -99,15 +99,15 @@ class EstimatorConfig:
     def __post_init__(self):
         require_integers(self, "tau_max", "k_min", "k_max")
         if self.dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
-            raise ValueError(f"unknown dfa mode {self.dfa_mode!r}")
+            raise InvalidSetting(f"unknown dfa mode {self.dfa_mode!r}")
         if not 0.0 < self.q < np.inf:
-            raise ValueError(f"q must be positive and finite, got {self.q}")
+            raise InvalidSetting(f"q must be positive and finite, got {self.q}")
         if self.tau_max < 2:
-            raise ValueError(f"tau_max must be >= 2, got {self.tau_max}")
+            raise InvalidSetting(f"tau_max must be >= 2, got {self.tau_max}")
         if 2 ** self.k_min < 4:
-            raise ValueError(f"smallest block 2**k_min must be >= 4, got k_min={self.k_min}")
+            raise InvalidSetting(f"smallest block 2**k_min must be >= 4, got k_min={self.k_min}")
         if self.k_max - self.k_min < 2:
-            raise ValueError("need k_max - k_min >= 2 (at least 3 regression points)")
+            raise InvalidSetting("need k_max - k_min >= 2 (at least 3 regression points)")
 
     def scales(self) -> tuple[int, ...]:
         return tuple(2 ** k for k in range(self.k_min, self.k_max + 1))
@@ -160,7 +160,7 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
 def check_length(method: Method, cfg: EstimatorConfig, length: int) -> None:
     """Raise ``SeriesTooShort`` unless ``cfg`` fits windows of ``length`` points: the one length rule."""
     if not isinstance(method, Method):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidSetting(f"unknown method {method!r}")
     if method is Method.GHE:
         if length <= cfg.tau_max:
             raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {length}")
@@ -335,7 +335,7 @@ def estimate_rows(
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
-        raise ValueError(f"windows must be a 2-D (rows, length) matrix, got shape {windows.shape}")
+        raise InvalidSetting(f"windows must be a 2-D (rows, length) matrix, got shape {windows.shape}")
     if cfg is None:
         cfg = default_config(method, windows.shape[1])
     return fit_statistic(method, statistic(method, windows, cfg), cfg)

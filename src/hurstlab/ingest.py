@@ -30,7 +30,9 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDate, DuplicateInstrument, HurstLabError, MalformedRow, NonPositivePrice
+from .errors import (
+    DuplicateDate, DuplicateInstrument, HurstLabError, InvalidSetting, MalformedRow, NonPositivePrice
+)
 from .series import PriceSeries
 
 __all__ = ["CSV_HEADER", "ingest_csv", "ingest_rows", "ingest_dir", "write_csv"]
@@ -308,14 +310,14 @@ def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
     started at 0 exactly (prices round-trip via ``repr``).  An id holding
     a comma, quote or line break is quoted as ``csv`` does; an empty id,
     one with whitespace around it, or one held by two series raises
-    ``ValueError`` before the file is opened.
+    ``InvalidSetting`` before the file is opened.
     """
     ordered = sorted(universe, key=lambda s: s.instrument_id)
     # ingest strips the whitespace around every field and joins the rows of an id, so these would not read back
     counts = Counter(s.instrument_id for s in ordered)
     lost = [name for name, n in counts.items() if n > 1 or not name or name != name.strip()]
     if lost:
-        raise ValueError(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
+        raise InvalidSetting(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(",".join(CSV_HEADER) + "\n")
         if not ordered:

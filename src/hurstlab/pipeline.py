@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, TooFewObservations
+from .errors import DuplicateInstrument, EmptyUniverse, HurstLabError, InvalidSetting, TooFewObservations
 from .estimators import (
     EstimatorConfig, Method, check_length, default_config, fit_statistic, is_suspect, require_integers, statistic
 )
@@ -74,12 +74,12 @@ class ScanSpec:
     def __post_init__(self):
         require_integers(self, "window", "roll_step")
         if self.roll_step < 1:
-            raise ValueError(f"roll_step must be >= 1, got {self.roll_step}")
+            raise InvalidSetting(f"roll_step must be >= 1, got {self.roll_step}")
         if not self.methods:
-            raise ValueError("at least one method required")
+            raise InvalidSetting("at least one method required")
         object.__setattr__(self, "methods", tuple(self.methods))
         if len(set(self.methods)) != len(self.methods):
-            raise ValueError("each method may appear only once")
+            raise InvalidSetting("each method may appear only once")
         object.__setattr__(self, "configs", MappingProxyType(dict(self.configs)))
         for method in self.methods:
             if method in self.configs:
@@ -250,7 +250,7 @@ def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:
     90th percentile.
     """
     if scheme not in _MIN_OBS:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise InvalidSetting(f"unknown scheme {scheme!r}")
     if len(pool) < _MIN_OBS[scheme]:
         raise TooFewObservations(
             f"{scheme} bucketing needs >= {_MIN_OBS[scheme]} observations, got {len(pool)}"
@@ -263,7 +263,7 @@ def bucketize(pool: ObservationPool, scheme: str = "quintile") -> np.ndarray:
 def annualize(mean_log_return: float, window: int) -> float:
     """Geometric annualization of a mean per-window log return, in percent."""
     if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+        raise InvalidSetting(f"window must be >= 1, got {window}")
     try:
         growth = math.exp(mean_log_return * TRADING_DAYS_PER_YEAR / window)
     except OverflowError:

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidSetting
 from .ingest import _csv_field
 from .pipeline import BucketReport, BucketRow, ObservationPool
 
@@ -75,12 +76,12 @@ def _render_table(title: str, labels: Sequence[str], columns: Sequence[tuple[str
 def render_method_table(reports: Sequence[BucketReport]) -> str:
     """Multi-window table for one method: bucket rows down, window sizes across."""
     if not reports:
-        raise ValueError("no reports to render")
+        raise InvalidSetting("no reports to render")
     method = reports[0].method
     scheme = reports[0].scheme
     for rep in reports:
         if rep.method is not method or rep.scheme != scheme:
-            raise ValueError("render_method_table expects one method and one scheme")
+            raise InvalidSetting("render_method_table expects one method and one scheme")
     reports = sorted(reports, key=lambda r: r.window)
     labels = [row.label for row in _all_rows(reports[0])]
     columns = [

@@ -3,7 +3,7 @@
 ``PriceSeries`` holds one instrument's positive price history on integer
 trading-day ordinals, ``LogSeries`` its natural-log transform, and
 ``fit_rows`` the row-wise least-squares line every log-log scaling fit in
-this package reduces to (``ols_slope_xy`` is its one-row call).  All
+this package reduces to (``RowFits.row`` gives one row's line).  All
 types are immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.
 """
@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRegression, HurstLabError, NonFiniteInput, NonPositivePrice
+from .errors import DegenerateRegression, HurstLabError, InvalidSetting, NonFiniteInput, NonPositivePrice
 
 __all__ = [
     "PriceSeries",
     "LogSeries",
     "RegressionFit",
     "RowFits",
-    "ols_slope_xy",
     "fit_rows",
 ]
 
@@ -31,14 +30,14 @@ def _freeze(series, name: str) -> None:
     for attr, dtype in (("dates", np.int64), (name, np.float64)):
         arr = np.array(getattr(series, attr), dtype=dtype, copy=True)
         if arr.ndim != 1:
-            raise ValueError("series data must be one-dimensional")
+            raise InvalidSetting("series data must be one-dimensional")
         arr.flags.writeable = False
         object.__setattr__(series, attr, arr)
     dates = series.dates
     if len(dates) != len(getattr(series, name)):
-        raise ValueError(f"dates and {name} must have equal length")
+        raise InvalidSetting(f"dates and {name} must have equal length")
     if len(dates) > 1 and not np.all(np.diff(dates) > 0):
-        raise ValueError("dates must be strictly increasing with no duplicates")
+        raise InvalidSetting("dates must be strictly increasing with no duplicates")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +89,7 @@ class RowFits:
     """Least-squares lines through every row of a ``(rows, points)`` table.
 
     A row without a line holds NaN, and ``errors`` maps its index to the
-    exception the one-row ``ols_slope_xy`` raises for it.
+    exception ``row`` raises for it.
     """
 
     slope: np.ndarray
@@ -159,12 +158,3 @@ def fit_rows(x, y, keep=None) -> RowFits:
             slope[i] = np.nan
             errors[i] = NonFiniteInput("regression sums overflow float64")
     return RowFits(slope, intercept, r_squared, n, errors)
-
-
-def ols_slope_xy(x, y) -> RegressionFit:
-    """``fit_rows`` on one row: the least-squares line of y on x, raising its error."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be one-dimensional and equally long")
-    return fit_rows(x, y[None, :]).row(0)

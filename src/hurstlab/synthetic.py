@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidH
+from .errors import InvalidH, InvalidSetting
 from .estimators import require_integers
 from .series import LogSeries, PriceSeries
 
@@ -57,14 +57,14 @@ class FbmSpec:
         if not 0.0 < self.h < 1.0:
             raise InvalidH(f"h must lie in (0, 1), got {self.h}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InvalidSetting(f"seed must be >= 0, got {self.seed}")
         if self.length < 8:
-            raise ValueError(f"length must be >= 8, got {self.length}")
+            raise InvalidSetting(f"length must be >= 8, got {self.length}")
         if not 0.0 < self.scale < np.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+            raise InvalidSetting(f"scale must be positive and finite, got {self.scale}")
         # every circulant eigenvalue is at most 2 * length * scale**2
         if not 2.0 * self.length * float(self.scale) * float(self.scale) < np.inf:
-            raise ValueError(f"scale {self.scale} overflows the spectrum of {self.length} points")
+            raise InvalidSetting(f"scale {self.scale} overflows the spectrum of {self.length} points")
 
 
 def fgn_autocovariance(h: float, lags, scale: float = 1.0) -> np.ndarray:
@@ -165,15 +165,15 @@ def generate_drifted_cohort(
     ``drift_per_h`` yields visibly drift-ordered forward returns.
     """
     if n_series < 1:
-        raise ValueError(f"n_series must be >= 1, got {n_series}")
+        raise InvalidSetting(f"n_series must be >= 1, got {n_series}")
     h_values = tuple(float(h) for h in h_values)
     if not h_values:
-        raise ValueError("h_values must be non-empty")
+        raise InvalidSetting("h_values must be non-empty")
     specs = {h: FbmSpec(h=h, length=length, seed=seed, scale=scale) for h in h_values}  # checks h and seed
     drifts = {h: float(drift_per_h.get(h, np.nan)) for h in h_values}
     for h, drift in drifts.items():
         if not np.isfinite(drift):
-            raise ValueError(f"drift for h={h:g} must be given and finite, got {drift_per_h.get(h)}")
+            raise InvalidSetting(f"drift for h={h:g} must be given and finite, got {drift_per_h.get(h)}")
     seeder = np.random.Generator(np.random.PCG64(seed))
     t = np.arange(length, dtype=np.float64)
     cohort = []

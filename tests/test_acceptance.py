@@ -35,7 +35,6 @@ from hurstlab import (
     generate_fbm,
     ghe,
     gm2,
-    ols_slope_xy,
     report,
     scan,
 )
@@ -43,7 +42,7 @@ from hurstlab.cli import main as cli_main
 from hurstlab.estimators import estimate
 from hurstlab.pipeline import TAIL_LABELS
 from hurstlab.reporting import render_method_table
-from hurstlab.series import LogSeries
+from hurstlab.series import LogSeries, fit_rows
 
 CALIBRATION_TOL = {Method.GHE: 0.05, Method.GM2: 0.05, Method.DFA: 0.08}
 CALIBRATION_LENGTH = {Method.GHE: 512, Method.GM2: 8192, Method.DFA: 512}
@@ -170,7 +169,7 @@ def test_criterion_5_pipeline_monotonicity_fixture():
 
 def test_criterion_6_exactness_suite():
     x = np.linspace(-3.0, 11.0, 40)
-    fit = ols_slope_xy(x, 3.0 * x - 7.0)
+    fit = fit_rows(x, (3.0 * x - 7.0)[None, :]).row(0)
     ols_ok = abs(fit.slope - 3.0) <= 1e-10 * 3.0
 
     annualize_err = abs(annualize(math.log(1.13) * 128.0 / 252.0, 128) - 13.0)

@@ -1,12 +1,29 @@
 import csv
 import datetime as dt
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hurstlab import PriceSeries, generate_drifted_cohort, ingest_csv, write_csv
+import hurstlab.pipeline
+from hurstlab import (
+    EstimatorConfig,
+    FbmSpec,
+    InvalidSetting,
+    Method,
+    ObservationPool,
+    PriceSeries,
+    ScanSpec,
+    annualize,
+    bucketize,
+    generate_drifted_cohort,
+    ingest_csv,
+    render_method_table,
+    write_csv,
+)
 from hurstlab.cli import main
+from hurstlab.estimators import estimate_rows
 
 
 def _tree(path: Path) -> dict[str, bytes]:
@@ -167,7 +184,9 @@ class TestRun:
         (["--methods", "gm2", "--k-max", "9"], "gm2: largest block 2**9 does not fit in 32 points"),
         (["--q", "nan"], "q must be positive and finite, got nan"),
         (["--q", "inf"], "q must be positive and finite, got inf"),
-    ], ids=["ghe-tau-max", "gm2-k-max", "q-nan", "q-inf"])
+        (["--roll", "0"], "roll_step must be >= 1, got 0"),
+        (["--k-min", "1"], "smallest block 2**k_min must be >= 4, got k_min=1"),
+    ], ids=["ghe-tau-max", "gm2-k-max", "q-nan", "q-inf", "roll-zero", "k-min-one"])
     def test_unsatisfiable_override_names_its_cause(self, tmp_path, capsys, override, error):
         out = tmp_path / "out"
         out.mkdir()
@@ -326,10 +345,46 @@ class TestRun:
     (["--drifts", "10,0,0"], "SYN000: non-finite price"),
     (["--fbm-scale", "1e155"], "scale 1e+155 overflows the spectrum of 400 points"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["infinite-drift", "wide-steps", "steep-drift", "huge-scale", "negative-seed"])
+    (["--n", "0"], "n_series must be >= 1, got 0"),
+    (["--len", "5"], "length must be >= 8, got 5"),
+], ids=["infinite-drift", "wide-steps", "steep-drift", "huge-scale", "negative-seed", "no-series", "too-short"])
 def test_cohort_that_cannot_be_synthesized_fails_with_an_error_line(tmp_path, capsys, command, setting, error):
     assert _run([*command, "--n", "6", "--len", "400", *setting, "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fault_inside_the_scan_keeps_its_traceback(tmp_path, monkeypatch):
+    # only a HurstLabError or an OSError becomes an error line; anything else is a bug and is re-raised
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together with shapes (3,) (4,)")
+
+    monkeypatch.setattr(hurstlab.pipeline, "statistic", broken)
+    with pytest.raises(ValueError, match="^operands could not be broadcast"):
+        _run(["run", *COHORT_ARGS, "--windows", "32", "--out", tmp_path / "out"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def _one_row_pool() -> ObservationPool:
+    return ObservationPool(32, Method.GHE, np.array(["A"], dtype=object), np.array([31]), np.array([0.5]),
+                           np.array([0.0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: EstimatorConfig(q=math.nan),
+    lambda tmp_path: ScanSpec(window=32, roll_step=0),
+    lambda tmp_path: FbmSpec(h=0.5, length=4, seed=0),
+    lambda tmp_path: bucketize(_one_row_pool(), "deciles"),
+    lambda tmp_path: annualize(0.0, 0),
+    lambda tmp_path: write_csv([PriceSeries("A", [0], [1.0]), PriceSeries("A", [1], [2.0])], tmp_path / "a.csv"),
+    lambda tmp_path: render_method_table([]),
+    lambda tmp_path: PriceSeries("A", np.arange(4).reshape(2, 2), np.ones((2, 2))),
+    lambda tmp_path: estimate_rows(Method.GHE, np.ones(64)),
+], ids=["config-q", "scan-roll", "fbm-length", "bucket-scheme", "annualize-window", "csv-repeated-id",
+        "table-empty", "series-2d", "rows-1d"])
+def test_bad_setting_or_input_raises_invalid_setting(tmp_path, make):
+    with pytest.raises(InvalidSetting):
+        make(tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
