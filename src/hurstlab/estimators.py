@@ -69,14 +69,22 @@ DFA_MODE_PROFILE = "profile"
 DFA_MODE_RAW = "raw"
 
 
+# entries kept by each per-config cache: every (method, config) a run or a calibration uses
+_CONFIG_CACHE = 64
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers pass, others raise ``TypeError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_integers(obj, *names: str) -> None:
     """Store each named field of the frozen dataclass ``obj`` as an int; numpy integers pass, others raise."""
     for name in names:
-        value = getattr(obj, name)
-        try:
-            object.__setattr__(obj, name, operator.index(value))
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, name, _integer(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,15 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
     block sizes inflates the log-log slope, so the small scales carry
     mostly bias.  The bias shrinks as the blocks grow: at H = 0.3 the
     mean over 200 fBm paths is about 0.38 at 512 points and falls within
-    0.05 of H from 8192 points (blocks of 512-4096).
+    0.05 of H from 8192 points (blocks of 512-4096).  A config is frozen,
+    so each (method, length, mode) is derived once and then shared.
     """
+    return _default_config(method, _integer("length", length), dfa_mode)
+
+
+@functools.lru_cache(maxsize=_CONFIG_CACHE)
+def _default_config(method: Method, length: int, dfa_mode: str) -> EstimatorConfig:
+    """``default_config`` of an int length, memoized; an error is raised again on every call."""
     q = 2.0 if method is Method.DFA else 1.0
     tau_max = max(2, min(19, length - 1))
     k_max = max((length // 2).bit_length() - 1, 4)
@@ -300,13 +315,20 @@ def _statistic_error(method: Method, stat: np.ndarray):
     return DegenerateRegression(_ZERO_STATISTIC[method]) if degenerate else None
 
 
+@functools.lru_cache(maxsize=_CONFIG_CACHE)
+def _log_scales(method: Method, cfg: EstimatorConfig) -> np.ndarray:
+    """Log of the lags (GHE) or block sizes that ``method``'s fit regresses on, as a read-only array."""
+    log_scales = np.log(np.arange(1, cfg.tau_max + 1) if method is Method.GHE else cfg.scales())
+    log_scales.flags.writeable = False
+    return log_scales
+
+
 def fit_statistic(method: Method, stat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, RowFits]:
     """Exponent and log-log fit of each row of a ``statistic``, the second stage of ``estimate_rows``."""
-    scales = np.arange(1, cfg.tau_max + 1) if method is Method.GHE else np.array(cfg.scales())
     # lags whose statistic is exactly zero carry no scaling information
     keep = stat != 0.0 if method is Method.GHE else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        fits = fit_rows(np.log(scales), np.log(stat), keep)
+        fits = fit_rows(_log_scales(method, cfg), np.log(stat), keep)
     # a degenerate statistic always fails the fit; name that failure the estimator's way
     for i in list(fits.errors):
         fits.errors[i] = _statistic_error(method, stat[i]) or fits.errors[i]

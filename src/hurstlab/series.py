@@ -10,6 +10,7 @@ functions, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,8 @@ class RowFits:
     errors: dict[int, HurstLabError]
 
     def row(self, i: int) -> RegressionFit:
-        """Row ``i`` as a ``RegressionFit``; raises that row's error if it has one."""
+        """Row ``i`` (negative counts from the end) as a ``RegressionFit``; raises that row's error if it has one."""
+        i = range(len(self.slope))[operator.index(i)]
         if i in self.errors:
             raise self.errors[i]
         return RegressionFit(
@@ -111,17 +113,21 @@ def fit_rows(x, y, keep=None) -> RowFits:
     """Least-squares line of each row of ``y`` on ``x`` over the points ``keep`` marks.
 
     ``x`` is one row shared by every row of the 2-D ``y``; ``keep`` (same
-    shape as ``y``, default all) drops points per row, and dropped points
-    may hold any value.  ``r_squared = 1 - SSres/SStot`` is defined as 1
-    when both sums of squares vanish (all points on a horizontal line) and
-    clamped into [0, 1] against rounding.  Each row is computed on its own:
-    its result does not depend on the other rows.
+    shape as ``y``, read as booleans, default all) drops points per row,
+    and dropped points may hold any value.  ``r_squared = slope * Sxy / Syy``, the squared correlation, from the
+    sums the slope uses; it is defined as 1 when Syy vanishes (all points
+    on a horizontal line) and clamped into [0, 1] against rounding.  Each
+    row is computed on its own: its result does not depend on the other rows.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    # a mask that keeps every point sums exactly what no mask sums
-    if keep is not None and keep.all():
-        keep = None
+    if x.ndim != 1 or y.ndim != 2:
+        raise InvalidSetting(f"fit_rows needs a 1-D x and a 2-D y, got shapes {x.shape} and {y.shape}")
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        # a mask that keeps every point sums exactly what no mask sums
+        if keep.all():
+            keep = None
     if keep is None:
         n = np.full(len(y), y.shape[1])
     else:
@@ -129,22 +135,20 @@ def fit_rows(x, y, keep=None) -> RowFits:
         y = np.where(keep, y, 0.0)
         n = keep.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x_mean = x.sum(axis=-1) / n
+        # without a mask x is one row: its mean, centred values and Sxx are computed once, not per row
+        x_mean = x.sum(axis=-1) / (y.shape[1] if keep is None else n)
         y_mean = y.sum(axis=1) / n
-        dx = x - x_mean[:, None]
+        dx = x - (x_mean if keep is None else x_mean[:, None])
         dy = y - y_mean[:, None]
         if keep is not None:
             dx *= keep
             dy *= keep
         sxx = (dx * dx).sum(axis=-1)
-        slope = (dx * dy).sum(axis=1) / sxx
+        sxy = (dx * dy).sum(axis=1)
+        slope = sxy / sxx
         intercept = y_mean - slope * x_mean
-        resid = y - (slope[:, None] * x + intercept[:, None])
-        if keep is not None:
-            resid *= keep
-        ss_res = (resid * resid).sum(axis=1)
-        ss_tot = (dy * dy).sum(axis=1)
-        r_squared = np.minimum(1.0, np.maximum(0.0, np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)))
+        syy = (dy * dy).sum(axis=1)
+        r_squared = np.minimum(1.0, np.maximum(0.0, np.where(syy == 0.0, 1.0, slope * sxy / syy)))
     errors: dict[int, HurstLabError] = {}
     # each failure below leaves a non-finite slope or sum of squares
     for i in np.flatnonzero(~(np.isfinite(slope) & np.isfinite(sxx))).tolist():
@@ -152,7 +156,7 @@ def fit_rows(x, y, keep=None) -> RowFits:
             errors[i] = NonFiniteInput("regression input contains NaN or infinity")
         elif n[i] < 2:
             errors[i] = DegenerateRegression(f"need at least 2 points, got {n[i]}")
-        elif sxx[i] == 0.0:
+        elif (sxx[i] if sxx.ndim else sxx) == 0.0:
             errors[i] = DegenerateRegression("all x values identical")
         else:
             slope[i] = np.nan

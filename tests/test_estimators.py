@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hurstlab import (
     EstimatorConfig,
     FbmSpec,
     HurstLabError,
+    InvalidSetting,
     LogSeries,
     Method,
     NonFiniteInput,
@@ -30,6 +32,7 @@ from hurstlab.estimators import (
     _block_ramp,
     _blocks,
     _lag_moments,
+    _log_scales,
     check_length,
     estimate_rows,
     fit_statistic,
@@ -170,6 +173,36 @@ class TestConfig:
         check_length(Method.DFA, replace(cfg, dfa_mode=DFA_MODE_RAW), 33)
         with pytest.raises(SeriesTooShort, match=r"^dfa: largest block 2\*\*5 does not fit in 32 points$"):
             check_length(Method.DFA, cfg, 33)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_default_config_is_one_object_per_integer_length(self, method):
+        cfg = default_config(method, 512)
+        assert default_config(method, np.int64(512)) is cfg
+        assert default_config(method, np.int32(512), DFA_MODE_PROFILE) is cfg
+        assert type(cfg.k_max) is int and cfg == default_config(method, 512)
+
+    @pytest.mark.parametrize("length", [512.0, "512", None])
+    def test_default_config_length_must_be_an_integer(self, length):
+        with pytest.raises(TypeError, match=rf"^length must be an integer, got {re.escape(repr(length))}$"):
+            default_config(Method.GHE, length)
+
+    def test_default_config_raises_on_every_call(self):
+        # an error is not memoized: the same arguments raise again
+        for _ in range(2):
+            with pytest.raises(SeriesTooShort, match="does not fit in 12 points"):
+                default_config(Method.GM2, 12)
+            with pytest.raises(InvalidSetting, match="^unknown method 'ghe'$"):
+                default_config("ghe", 64)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_log_scales_are_cached_per_config_and_read_only(self, method):
+        cfg = default_config(method, 256)
+        log_scales = _log_scales(method, cfg)
+        assert _log_scales(method, replace(cfg)) is log_scales
+        expected = np.arange(1, cfg.tau_max + 1) if method is Method.GHE else np.array(cfg.scales())
+        assert log_scales.tobytes() == np.log(expected).tobytes()
+        with pytest.raises(ValueError):
+            log_scales[0] = 1.0
 
     @pytest.mark.parametrize("length", [*range(17, 41), 64])
     def test_no_config_means_default_config(self, length):

@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hurstlab import (
     DegenerateRegression,
+    HurstLabError,
+    InvalidSetting,
     NonFiniteInput,
     NonPositivePrice,
     PriceSeries,
@@ -164,3 +168,148 @@ class TestFitRowsMask:
             else:
                 kept = fit_rows(x[keep[i]], y[i : i + 1, keep[i]])
                 assert mixed.slope[i] == pytest.approx(kept.slope[0], rel=1e-12)
+
+    def test_a_list_mask_is_read_as_booleans(self):
+        x, y = np.arange(4.0), np.array([[1.0, 2.0, 3.0, 5.0]])
+        keep = [[True, True, False, True]]
+        assert _fit_columns(fit_rows(x, y, keep)) == _fit_columns(fit_rows(x, y, np.array(keep)))
+
+    def test_an_integer_mask_is_read_as_booleans(self):
+        x, y = np.arange(4.0), np.array([[1.0, 2.0, 3.0, 5.0]])
+        fits = fit_rows(x, y, np.array([[2, 2, 0, 2]]))
+        assert fits.n_points.tolist() == [3]
+        assert _fit_columns(fits) == _fit_columns(fit_rows(x, y, np.array([[True, True, False, True]])))
+        assert fits.slope[0] == pytest.approx(19.0 / 14.0, rel=1e-14)
+
+
+class TestRowFitsRow:
+    def test_negative_indices_count_from_the_end(self):
+        fits = fit_rows(np.arange(4.0), [[1, 2, 3, 5], [math.nan, 1, 2, 3]])
+        with pytest.raises(NonFiniteInput):
+            fits.row(-1)
+        assert fits.row(-2) == fits.row(0)
+        assert fits.row(np.int64(0)) == fits.row(0)
+
+    def test_index_out_of_range_or_not_an_integer_raises(self):
+        fits = fit_rows(np.arange(4.0), [[1, 2, 3, 5]])
+        for i in (1, -2):
+            with pytest.raises(IndexError):
+                fits.row(i)
+        with pytest.raises(TypeError):
+            fits.row(0.0)
+
+
+def _per_row_fit(x, y, keep=None):
+    """The fit that centres x and sums residuals once per row of ``y``: the reference for the shared x side."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if keep is not None and keep.all():
+        keep = None
+    if keep is None:
+        n = np.full(len(y), y.shape[1])
+    else:
+        x = np.where(keep, x, 0.0)
+        y = np.where(keep, y, 0.0)
+        n = keep.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_mean = x.sum(axis=-1) / n
+        y_mean = y.sum(axis=1) / n
+        dx = x - x_mean[:, None]
+        dy = y - y_mean[:, None]
+        if keep is not None:
+            dx *= keep
+            dy *= keep
+        sxx = (dx * dx).sum(axis=-1)
+        slope = (dx * dy).sum(axis=1) / sxx
+        intercept = y_mean - slope * x_mean
+    errors: dict[int, HurstLabError] = {}
+    for i in np.flatnonzero(~(np.isfinite(slope) & np.isfinite(sxx))).tolist():
+        if not (np.isfinite(x[i] if x.ndim == 2 else x).all() and np.isfinite(y[i]).all()):
+            errors[i] = NonFiniteInput("regression input contains NaN or infinity")
+        elif n[i] < 2:
+            errors[i] = DegenerateRegression(f"need at least 2 points, got {n[i]}")
+        elif sxx[i] == 0.0:
+            errors[i] = DegenerateRegression("all x values identical")
+        else:
+            slope[i] = np.nan
+            errors[i] = NonFiniteInput("regression sums overflow float64")
+    return SimpleNamespace(slope=slope, intercept=intercept, n_points=n, errors=errors)
+
+
+def _line_columns(fits):
+    """Slope, intercept and n_points as bytes, and the errors as (row, class, message); r² left out."""
+    columns = tuple(getattr(fits, name).tobytes() for name in ("slope", "intercept", "n_points"))
+    return columns, [(i, type(e), str(e)) for i, e in sorted(fits.errors.items())]
+
+
+class TestSharedXSide:
+    def test_x_is_one_row_and_y_a_table(self):
+        # a square 2-D x would otherwise broadcast its row means across the wrong axis
+        for x, y in ((np.ones((2, 2)), np.ones((2, 2))), (np.arange(3.0), np.arange(3.0))):
+            with pytest.raises(InvalidSetting, match="^fit_rows needs a 1-D x and a 2-D y"):
+                fit_rows(x, y)
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_lines_equal_the_per_row_fit_bit_for_bit(self, seed, masked):
+        x, y = _fit_table(seed)
+        rng = np.random.Generator(np.random.PCG64(1000 + seed))
+        # offsets up to 1e6 and scales down to 1e-8 on the ordinary rows
+        y[[0, 1, 3]] = y[[0, 1, 3]] * 10.0 ** rng.uniform(-8, 0, (3, 1)) + rng.uniform(-1e6, 1e6, (3, 1))
+        keep = None
+        if masked:
+            keep = rng.random(y.shape) < 0.7
+            keep[0] = True  # an all-kept row in a masked batch
+            keep[1] = False
+            keep[1, 4] = True  # a single point
+        fits = fit_rows(x, y, keep)
+        assert _line_columns(fits) == _line_columns(_per_row_fit(x, y, keep))
+
+    @pytest.mark.parametrize("keep", [None, np.ones((2, 5), bool), np.array([[1, 1, 0, 1, 1]] * 2, bool)])
+    def test_identical_x_values_fail_as_the_per_row_fit_does(self, keep):
+        x = np.full(5, 2.5)
+        y = np.array([[1.0, 2.0, 3.0, 4.0, 6.0], [1e308] * 5])
+        fits = fit_rows(x, y, keep)
+        assert _line_columns(fits) == _line_columns(_per_row_fit(x, y, keep))
+        assert type(fits.errors[0]) is DegenerateRegression
+
+    def test_a_shared_overflowing_x_side_fails_every_row(self):
+        x = np.array([0.0, 1e200, 2e200])
+        y = np.array([[0.0, 1.0, 2.0], [3.0, 1.0, 2.0]])
+        fits = fit_rows(x, y)
+        assert _line_columns(fits) == _line_columns(_per_row_fit(x, y))
+        assert sorted(fits.errors) == [0, 1]
+
+
+def _exact_r_squared(x, y):
+    """Sxy**2 / (Sxx * Syy) of one row, in exact rational arithmetic."""
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((a - x_mean) ** 2 for a in xs)
+    syy = sum((b - y_mean) ** 2 for b in ys)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+    return sxy * sxy / (sxx * syy)
+
+
+class TestRSquared:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_r_squared_matches_exact_arithmetic(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        points = int(rng.integers(5, 20))
+        x = np.log(np.arange(1.0, points + 1))
+        y = rng.uniform(0.2, 1.0) * x + rng.uniform(-3.0, 3.0) + rng.uniform(0.01, 1.0) * rng.standard_normal((6, points))
+        # GHE-like masks: some rows lose a few lags
+        keep = rng.random(y.shape) < 0.85
+        keep[:, :3] = True
+        for mask in (None, keep):
+            fits = fit_rows(x, y, mask)
+            for i in range(len(y)):
+                kept = slice(None) if mask is None else mask[i]
+                exact = _exact_r_squared(x[kept], y[i, kept])
+                assert abs(fits.r_squared[i] - float(exact)) <= 1e-12, (i, mask is None)
+
+    def test_a_horizontal_line_has_r_squared_exactly_one(self):
+        x = np.log(np.arange(1.0, 8.0))
+        fits = fit_rows(x, np.full((2, 7), -1.25), np.array([[True] * 7, [True, False] * 3 + [True]]))
+        assert fits.r_squared.tolist() == [1.0, 1.0]
+        assert fit_rows(x, np.full((1, 7), 3.0)).r_squared.tolist() == [1.0]
