@@ -31,7 +31,7 @@ class InvalidSetting(HurstLabError, ValueError):
     """A setting or an input is outside what the routine given it accepts."""
 
 
-class InvalidH(HurstLabError):
+class InvalidH(InvalidSetting):
     """Requested self-similarity parameter outside the open interval (0, 1)."""
 
 

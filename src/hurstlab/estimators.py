@@ -311,8 +311,7 @@ _ZERO_STATISTIC = {
 
 def _statistic_error(method: Method, stat: np.ndarray):
     """Why one row's statistic admits no log-log fit, in the estimator's words; None if it does."""
-    degenerate = (stat == 0.0).all() if method is Method.GHE else (stat == 0.0).any()
-    return DegenerateRegression(_ZERO_STATISTIC[method]) if degenerate else None
+    return DegenerateRegression(_ZERO_STATISTIC[method]) if (stat == 0.0).any() else None
 
 
 @functools.lru_cache(maxsize=_CONFIG_CACHE)
@@ -325,13 +324,22 @@ def _log_scales(method: Method, cfg: EstimatorConfig) -> np.ndarray:
 
 def fit_statistic(method: Method, stat: np.ndarray, cfg: EstimatorConfig) -> tuple[np.ndarray, RowFits]:
     """Exponent and log-log fit of each row of a ``statistic``, the second stage of ``estimate_rows``."""
-    # lags whose statistic is exactly zero carry no scaling information
-    keep = stat != 0.0 if method is Method.GHE else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        fits = fit_rows(_log_scales(method, cfg), np.log(stat), keep)
-    # a degenerate statistic always fails the fit; name that failure the estimator's way
+        fits = fit_rows(_log_scales(method, cfg), np.log(stat))
+    # a zero statistic fails its row's fit, as its log is -inf; the failure is named the estimator's way
     for i in list(fits.errors):
-        fits.errors[i] = _statistic_error(method, stat[i]) or fits.errors[i]
+        kept = stat[i] != 0.0
+        if method is Method.GHE and 0 < kept.sum() < len(kept):
+            # GHE's lags whose moment is exactly zero carry no scaling information: the row is fitted without them
+            refit = fit_rows(_log_scales(method, cfg)[kept], np.log(stat[i, kept])[None])
+            for name in ("slope", "intercept", "r_squared", "n_points"):
+                getattr(fits, name)[i] = getattr(refit, name)[0]
+            if refit.errors:
+                fits.errors[i] = refit.errors[0]
+            else:
+                del fits.errors[i]
+        else:
+            fits.errors[i] = _statistic_error(method, stat[i]) or fits.errors[i]
     h = fits.slope / cfg.q if method is Method.GHE else fits.slope.copy()
     if fits.errors:
         h[list(fits.errors)] = np.nan
@@ -370,7 +378,7 @@ def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     ``|X(t+tau) - X(t)|**q`` over all overlapping increments; the exponent
     is the log-log slope across lags divided by q.  Lags whose statistic is
     exactly zero carry no scaling information and are dropped before the
-    fit; if none survive the regression degenerates.
+    fit; if fewer than two survive the regression degenerates.
     """
     return estimate(Method.GHE, x, cfg)
 

@@ -309,7 +309,8 @@ def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
     fixed epoch, so ingesting the file recovers series whose ordinals
     started at 0 exactly (prices round-trip via ``repr``).  An id holding
     a comma, quote or line break is quoted as ``csv`` does; an empty id,
-    one with whitespace around it, or one held by two series raises
+    one with whitespace around it, one held by two series, or a series
+    with a day outside the calendar's years 1-9999 raises
     ``InvalidSetting`` before the file is opened.
     """
     ordered = sorted(universe, key=lambda s: s.instrument_id)
@@ -318,6 +319,10 @@ def write_csv(universe: Iterable[PriceSeries], path: str | Path) -> None:
     lost = [name for name, n in counts.items() if n > 1 or not name or name != name.strip()]
     if lost:
         raise InvalidSetting(f"instrument ids {', '.join(map(repr, lost))} would not read back from CSV")
+    first, last = 1 - _EPOCH, dt.date.max.toordinal() - _EPOCH
+    for series in ordered:
+        if len(series) and not first <= series.dates[0] <= series.dates[-1] <= last:
+            raise InvalidSetting(f"{series.instrument_id}: a day outside {first}..{last} (years 1-9999) has no date")
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(",".join(CSV_HEADER) + "\n")
         if not ordered:

@@ -109,41 +109,26 @@ class RowFits:
         )
 
 
-def fit_rows(x, y, keep=None) -> RowFits:
-    """Least-squares line of each row of ``y`` on ``x`` over the points ``keep`` marks.
+def fit_rows(x, y) -> RowFits:
+    """Least-squares line of each row of the 2-D ``y`` on the one row ``x``.
 
-    ``x`` is one row shared by every row of the 2-D ``y``; ``keep`` (same
-    shape as ``y``, read as booleans, default all) drops points per row,
-    and dropped points may hold any value.  ``r_squared = slope * Sxy / Syy``, the squared correlation, from the
+    ``r_squared = slope * Sxy / Syy``, the squared correlation, from the
     sums the slope uses; it is defined as 1 when Syy vanishes (all points
     on a horizontal line) and clamped into [0, 1] against rounding.  Each
     row is computed on its own: its result does not depend on the other rows.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 2:
-        raise InvalidSetting(f"fit_rows needs a 1-D x and a 2-D y, got shapes {x.shape} and {y.shape}")
-    if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        # a mask that keeps every point sums exactly what no mask sums
-        if keep.all():
-            keep = None
-    if keep is None:
-        n = np.full(len(y), y.shape[1])
-    else:
-        x = np.where(keep, x, 0.0)
-        y = np.where(keep, y, 0.0)
-        n = keep.sum(axis=1)
+    if x.ndim != 1 or y.ndim != 2 or len(x) != y.shape[1]:
+        raise InvalidSetting(f"fit_rows needs a 1-D x and a 2-D y with len(x) columns, got shapes {x.shape} and {y.shape}")
+    n = y.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # without a mask x is one row: its mean, centred values and Sxx are computed once, not per row
-        x_mean = x.sum(axis=-1) / (y.shape[1] if keep is None else n)
+        # x is one row: its mean, centred values and Sxx are computed once, not per row
+        x_mean = x.sum() / n
         y_mean = y.sum(axis=1) / n
-        dx = x - (x_mean if keep is None else x_mean[:, None])
+        dx = x - x_mean
         dy = y - y_mean[:, None]
-        if keep is not None:
-            dx *= keep
-            dy *= keep
-        sxx = (dx * dx).sum(axis=-1)
+        sxx = (dx * dx).sum()
         sxy = (dx * dy).sum(axis=1)
         slope = sxy / sxx
         intercept = y_mean - slope * x_mean
@@ -152,13 +137,13 @@ def fit_rows(x, y, keep=None) -> RowFits:
     errors: dict[int, HurstLabError] = {}
     # each failure below leaves a non-finite slope or sum of squares
     for i in np.flatnonzero(~(np.isfinite(slope) & np.isfinite(sxx))).tolist():
-        if not (np.isfinite(x[i] if x.ndim == 2 else x).all() and np.isfinite(y[i]).all()):
+        if not (np.isfinite(x).all() and np.isfinite(y[i]).all()):
             errors[i] = NonFiniteInput("regression input contains NaN or infinity")
-        elif n[i] < 2:
-            errors[i] = DegenerateRegression(f"need at least 2 points, got {n[i]}")
-        elif (sxx[i] if sxx.ndim else sxx) == 0.0:
+        elif n < 2:
+            errors[i] = DegenerateRegression(f"need at least 2 points, got {n}")
+        elif sxx == 0.0:
             errors[i] = DegenerateRegression("all x values identical")
         else:
             slope[i] = np.nan
             errors[i] = NonFiniteInput("regression sums overflow float64")
-    return RowFits(slope, intercept, r_squared, n, errors)
+    return RowFits(slope, intercept, r_squared, np.full(len(y), n), errors)

@@ -12,7 +12,7 @@ and plain on purpose; it is a judge, not an implementation.
   blocks of the series (tail remainder dropped) of each block's max-min
   range; the exponent is the least-squares slope of log mean range
   against log m.
-* GHE (Di Matteo 2007, Journal of Banking & Finance 31): for each lag
+* GHE (Di Matteo 2007, Quantitative Finance 7): for each lag
   tau = 1..tau_max, the mean over the n - tau increments of
   |X(t+tau) - X(t)|**q; lags whose moment is zero are dropped, and the
   exponent is the least-squares slope of log moment against log tau,
@@ -25,6 +25,12 @@ and plain on purpose; it is a judge, not an implementation.
   block's least-squares line, and F_m = (mean over blocks of
   B**(q/2))**(1/q).  The exponent is the least-squares slope of log F_m
   against log m.
+
+The report of a pool (``hurstlab.pipeline.report``) is built here from its
+definition too: percentile thresholds by linear interpolation between
+order statistics, in ``Fraction``; each row's bucket by exact comparison
+with them, ties going up; each bucket's forward log returns summed in
+``Fraction`` and rounded once, the mean annualized over 252 trading days.
 """
 
 from __future__ import annotations
@@ -164,3 +170,57 @@ def dfa_from_residuals(residuals: dict[int, list[Fraction]], q: float = 2.0) -> 
 def dfa(values, q: float = 2.0, mode: str = "profile") -> float:
     """DFA's exponent of one window of log prices at the default scales, moment order ``q`` and ``mode``."""
     return dfa_from_residuals(dfa_block_residuals(values, mode), q)
+
+
+PERCENTILES = {"quintile": (20, 40, 60, 80), "tail": (90, 95)}
+BUCKET_COUNT = {"quintile": 5, "tail": 2}
+
+
+def percentile(ordered: list[float], p: int) -> Fraction:
+    """The ``p``-th percentile of the sorted ``ordered``, exactly, by linear interpolation.
+
+    The virtual index is p/100 * (n - 1), the definition numpy documents for
+    its default method; the percentile lies that far between the order
+    statistics on either side of it.
+    """
+    index = Fraction(p, 100) * (len(ordered) - 1)
+    below = math.floor(index)
+    low = Fraction(ordered[below])
+    if below == len(ordered) - 1:
+        return low
+    return low + (index - below) * (Fraction(ordered[below + 1]) - low)
+
+
+def buckets(h: list[float], scheme: str) -> tuple[list[Fraction], list[int]]:
+    """The scheme's exact thresholds over ``h``, and each row's bucket.
+
+    A row's bucket counts the thresholds at or below its exponent, so a
+    tie goes to the upper bucket.  The tail scheme counts from -1: rows
+    below its first threshold (the 90th percentile) have no bucket.
+    """
+    ordered = sorted(h)
+    thresholds = [percentile(ordered, p) for p in PERCENTILES[scheme]]
+    # a float lies at or above a threshold exactly when it lies at or above the least float that does
+    least = [float(t) if float(t) >= t else math.nextafter(float(t), math.inf) for t in thresholds]
+    first = 0 if scheme == "quintile" else -1
+    return thresholds, [first + sum(1 for t in least if value >= t) for value in h]
+
+
+def annualized_return(forwards: list[float], window: int) -> float:
+    """The annualized return in percent of the mean of ``forwards``, per-``window``-day log returns; NaN if none.
+
+    The sum is exact and rounded once, then divided by the count.
+    """
+    if not forwards:
+        return math.nan
+    mean = float(sum(map(Fraction, forwards), Fraction(0))) / len(forwards)
+    return (math.exp(mean * 252 / window) - 1) * 100
+
+
+def report(index: list[int], forwards: list[float], window: int, scheme: str) -> list[tuple[int, float]]:
+    """(count, annualized return) of each of the scheme's buckets in order, then of the whole pool.
+
+    ``index`` holds each row's bucket, as ``buckets`` gives it.
+    """
+    members = [[f for f, i in zip(forwards, index) if i == bucket] for bucket in range(BUCKET_COUNT[scheme])]
+    return [(len(fs), annualized_return(fs, window)) for fs in (*members, forwards)]

@@ -347,7 +347,9 @@ class TestRun:
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--n", "0"], "n_series must be >= 1, got 0"),
     (["--len", "5"], "length must be >= 8, got 5"),
-], ids=["infinite-drift", "wide-steps", "steep-drift", "huge-scale", "negative-seed", "no-series", "too-short"])
+    (["--h-values", "1.5", "--drifts", "0"], "h must lie in (0, 1), got 1.5"),
+], ids=["infinite-drift", "wide-steps", "steep-drift", "huge-scale", "negative-seed", "no-series", "too-short",
+        "h-outside-0-1"])
 def test_cohort_that_cannot_be_synthesized_fails_with_an_error_line(tmp_path, capsys, command, setting, error):
     assert _run([*command, "--n", "6", "--len", "400", *setting, "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
@@ -380,8 +382,10 @@ def _one_row_pool() -> ObservationPool:
     lambda tmp_path: render_method_table([]),
     lambda tmp_path: PriceSeries("A", np.arange(4).reshape(2, 2), np.ones((2, 2))),
     lambda tmp_path: estimate_rows(Method.GHE, np.ones(64)),
+    lambda tmp_path: FbmSpec(h=1.5, length=64, seed=0),
+    lambda tmp_path: write_csv([PriceSeries("A", [0, 4_000_000], [1.0, 2.0])], tmp_path / "a.csv"),
 ], ids=["config-q", "scan-roll", "fbm-length", "bucket-scheme", "annualize-window", "csv-repeated-id",
-        "table-empty", "series-2d", "rows-1d"])
+        "table-empty", "series-2d", "rows-1d", "fbm-h", "csv-day-outside-calendar"])
 def test_bad_setting_or_input_raises_invalid_setting(tmp_path, make):
     with pytest.raises(InvalidSetting):
         make(tmp_path)

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,8 @@ from hurstlab import (
     LogSeries,
     Method,
     NonFiniteInput,
+    PriceSeries,
+    ScanSpec,
     SeriesTooShort,
     default_config,
     dfa,
@@ -26,6 +28,7 @@ from hurstlab import (
     generate_fbm,
     ghe,
     gm2,
+    scan,
 )
 from hurstlab.estimators import (
     HEstimate,
@@ -38,6 +41,7 @@ from hurstlab.estimators import (
     fit_statistic,
     statistic,
 )
+from hurstlab.series import fit_rows
 
 
 def _series(values, name="X"):
@@ -275,6 +279,65 @@ class TestGhe:
         for tau, s in zip(taus, stat):
             pairs = [abs(v[t + tau] - v[t]) ** q for t in range(len(v) - tau)]
             assert s == pytest.approx(sum(pairs) / len(pairs), rel=1e-12)
+
+
+def _periodic_log_prices(period, length, seed=0):
+    """Log prices that repeat every ``period`` points: each lag that is a multiple of it has a zero moment."""
+    cycle = 4.0 + 0.01 * np.random.Generator(np.random.PCG64(seed)).standard_normal(period)
+    return np.resize(cycle, length)
+
+
+PERIODIC = [(period, length) for period in (2, 3, 5) for length in (128, 512)]
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestGheZeroLags:
+    """GHE leaves the lags whose moment is exactly zero out of a row's fit (Di Matteo 2007)."""
+
+    @pytest.mark.parametrize("period, length", PERIODIC)
+    def test_a_periodic_window_is_fitted_on_its_nonzero_lags(self, period, length):
+        values = _periodic_log_prices(period, length)
+        cfg = default_config(Method.GHE, length)
+        stat = statistic(Method.GHE, values[None], cfg)[0]
+        kept = stat != 0.0
+        assert np.flatnonzero(~kept).tolist() == list(range(period - 1, cfg.tau_max, period))
+        fit = fit_rows(_log_scales(Method.GHE, cfg)[kept], np.log(stat[kept])[None]).row(0)
+        est = ghe(_series(values))
+        assert est.fit.n_points == kept.sum() == cfg.tau_max - cfg.tau_max // period
+        assert _bits(est.h, *astuple(est.fit)) == _bits(fit.slope / cfg.q, *astuple(fit))
+
+    @pytest.mark.parametrize("period, length", PERIODIC)
+    def test_the_batch_the_one_row_call_and_the_scan_agree(self, period, length):
+        prices = np.exp(_periodic_log_prices(period, 3 * length, seed=period))
+        spec = ScanSpec(window=length, methods=(Method.GHE,))
+        pool = scan([PriceSeries("P", np.arange(len(prices)), prices)], spec).pools[Method.GHE]
+        log_prices = np.log(prices)
+        windows = [log_prices[end - length + 1 : end + 1] for end in pool.window_end.tolist()]
+        assert len(windows) > 1
+        # batched with a walk and a constant row, which fit as they do alone
+        walk = np.cumsum(np.random.Generator(np.random.PCG64(length)).standard_normal(length))
+        h, fits = estimate_rows(Method.GHE, np.vstack([*windows, walk, np.full(length, 2.0)]))
+        tau_max = default_config(Method.GHE, length).tau_max
+        for i, values in enumerate([*windows, walk]):
+            alone = ghe(_series(values))
+            assert _bits(h[i], *astuple(fits.row(i))) == _bits(alone.h, *astuple(alone.fit)), i
+            if i < len(windows):
+                assert _bits(pool.h[i]) == _bits(alone.h), i
+                assert alone.fit.n_points == tau_max - tau_max // period
+        constant = len(windows) + 1
+        assert list(fits.errors) == [constant]
+        assert str(fits.errors[constant]) == "ghe: every lag statistic is zero (constant series)"
+
+    def test_a_row_left_with_one_lag_fails_as_a_one_point_fit(self):
+        # period 2 with tau_max 2 keeps lag 1 alone
+        cfg = EstimatorConfig(tau_max=2)
+        h, fits = estimate_rows(Method.GHE, _periodic_log_prices(2, 32)[None], cfg)
+        assert np.isnan(h[0]) and fits.n_points.tolist() == [1]
+        assert type(fits.errors[0]) is DegenerateRegression
+        assert str(fits.errors[0]) == "need at least 2 points, got 1"
 
 
 class TestDfa:

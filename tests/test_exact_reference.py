@@ -1,5 +1,7 @@
-"""Estimated exponents agree with the definitions in ``exact_reference`` to 1e-12."""
+"""Estimated exponents agree with the definitions in ``exact_reference`` to 1e-12, and reports bit for bit."""
 
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -13,15 +15,20 @@ from hurstlab import (
     FbmSpec,
     LogSeries,
     Method,
+    ObservationPool,
     ScanSpec,
+    bucketize,
     default_config,
     dfa,
     generate_drifted_cohort,
     generate_fbm,
     ghe,
     gm2,
+    report,
     scan,
 )
+from hurstlab import cli
+from test_estimators import PERIODIC, _periodic_log_prices
 from test_pipeline import _halted_walk
 
 TOLERANCE = 1e-12
@@ -115,6 +122,13 @@ def test_ghe_agrees_with_the_exact_reference_on_degenerate_rows():
         ref.ghe(constant)
 
 
+@pytest.mark.parametrize("period, length", PERIODIC)
+def test_ghe_agrees_with_the_exact_reference_on_periodic_rows(period, length):
+    # every lag that is a multiple of the period has a zero moment and is dropped
+    values = _periodic_log_prices(period, length)
+    assert abs(ghe(_series(values)).h - ref.ghe(values)) <= TOLERANCE
+
+
 def test_ghe_pools_of_a_scan_agree_with_the_exact_reference():
     # the batched path meets the reference too
     for window, h, values in _pool_rows(Method.GHE, (32, 64, 128), seed=22):
@@ -163,3 +177,53 @@ def test_dfa_pools_of_a_scan_agree_with_the_exact_reference():
     for windows, seed, mode in (((32, 64, 128), 23, DFA_MODE_PROFILE), ((64,), 24, DFA_MODE_RAW)):
         for window, h, values in _pool_rows(Method.DFA, windows, seed, mode):
             assert abs(h - ref.dfa(values, mode=mode)) <= TOLERANCE, (mode, window, h)
+
+
+@pytest.fixture(scope="module")
+def default_run_reports(tmp_path_factory):
+    """Every (pool, scheme, report) of the default ``hurstscan run``, as the CLI computed them."""
+    made = []
+
+    def recording(pool, scheme="quintile"):
+        made.append((pool, scheme, report(pool, scheme)))
+        return made[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(cli, "report", recording)
+        assert cli.main(["run", "--synthetic-cohort", "--out", str(tmp_path_factory.mktemp("run") / "out")]) == 0
+    return made
+
+
+def _report_rows(rep):
+    """(count, repr of the annualized return) of each bucket row, then of the "any" row."""
+    return [(row.count, repr(row.annualized_return)) for row in (*rep.rows, rep.benchmark_row)]
+
+
+def _assert_report_is_exact(pool, scheme, rep):
+    h = pool.h.tolist()
+    thresholds, expected = ref.buckets(h, scheme)
+    index = bucketize(pool, scheme).tolist()
+    # a row between numpy's float threshold and the exact one is reported with both
+    moved = [(h[i], index[i], expected[i]) for i in range(len(h)) if index[i] != expected[i]]
+    numpy_thresholds = np.percentile(pool.h, ref.PERCENTILES[scheme]).tolist()
+    assert not moved, (pool.window, pool.method, scheme, moved[:5], numpy_thresholds, list(map(float, thresholds)))
+    exact = ref.report(expected, pool.forward_log_return.tolist(), pool.window, scheme)
+    assert _report_rows(rep) == [(count, repr(value)) for count, value in exact], (pool.window, pool.method, scheme)
+
+
+def test_every_report_of_the_default_run_equals_the_exact_reference(default_run_reports):
+    # counts, each row's bucket, and every annualized return bit for bit
+    assert len(default_run_reports) == 30
+    for pool, scheme, rep in default_run_reports:
+        _assert_report_is_exact(pool, scheme, rep)
+    assert sum(len(_report_rows(rep)) for _, _, rep in default_run_reports) == 135
+
+
+@pytest.mark.parametrize("scheme, rows", [("quintile", 20), ("quintile", 41), ("tail", 40), ("tail", 41)])
+def test_small_pools_with_ties_at_the_thresholds_equal_the_exact_reference(scheme, rows):
+    # exponents on a coarse grid, so percentiles fall on repeated values and some buckets are empty
+    rng = np.random.Generator(np.random.PCG64(rows))
+    h = rng.integers(0, 4, rows) * 0.25
+    pool = ObservationPool(64, Method.GHE, np.array(["A"] * rows, object), np.arange(rows), h,
+                           rng.normal(0.0, 0.02, rows))
+    _assert_report_is_exact(pool, scheme, report(pool, scheme))

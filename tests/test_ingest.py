@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hurstlab import (
     DuplicateDate,
     DuplicateInstrument,
+    InvalidSetting,
     MalformedRow,
     NonPositivePrice,
     generate_drifted_cohort,
@@ -476,6 +477,20 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"^instrument ids 'A' would not read back from CSV$"):
             write_csv(universe, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("days", [[0, 4_000_000], [-800_000, 0], [0, 2**62]])
+    def test_a_day_outside_the_calendar_fails_before_the_file_is_opened(self, tmp_path, days):
+        # the bad series sorts after a good one, and an existing file keeps its bytes
+        universe = [PriceSeries("A", [0, 1], [1.0, 2.0]), PriceSeries("B", days, [1.0, 2.0])]
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"earlier bytes\n")
+        message = r"^B: a day outside -730121\.\.2921937 \(years 1-9999\) has no date$"
+        with pytest.raises(InvalidSetting, match=message):
+            write_csv(universe, path)
+        assert path.read_bytes() == b"earlier bytes\n"
+        # the first and last days of the calendar are written
+        write_csv([PriceSeries("B", [-730121, 2921937], [1.0, 2.0])], path)
+        assert path.read_text().splitlines()[1:] == ["B,0001-01-01,1.0", "B,9999-12-31,2.0"]
 
     def test_round_trip_reproduces_universe_exactly(self, tmp_path):
         cohort = generate_drifted_cohort(3, 16, [0.3, 0.7], {0.3: 0.0, 0.7: 1e-4}, seed=13)

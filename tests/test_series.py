@@ -127,12 +127,6 @@ class TestOlsSlope:
         assert np.isnan(fits.slope[failed]).all()
 
 
-def _fit_columns(fits):
-    """Every column of a ``RowFits`` as bytes, and its errors as (row, class, message)."""
-    columns = tuple(getattr(fits, name).tobytes() for name in ("slope", "intercept", "r_squared", "n_points"))
-    return columns, [(i, type(e), str(e)) for i, e in sorted(fits.errors.items())]
-
-
 def _fit_table(seed):
     """Log-log-like rows with a constant row, a NaN row and a row whose sums overflow, and their x."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -143,43 +137,6 @@ def _fit_table(seed):
     y[5] = 1e308
     y[6] = -0.0
     return x, y
-
-
-class TestFitRowsMask:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_a_mask_that_keeps_every_point_is_no_mask(self, seed):
-        x, y = _fit_table(seed)
-        assert _fit_columns(fit_rows(x, y, np.ones(y.shape, bool))) == _fit_columns(fit_rows(x, y))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_rows_that_keep_every_point_in_a_mixed_batch_equal_their_unmasked_fits(self, seed):
-        x, y = _fit_table(seed)
-        keep = np.ones(y.shape, bool)
-        keep[1, ::2] = False  # the masked route runs for the whole batch
-        keep[3, -5:] = False
-        mixed = fit_rows(x, y, keep)
-        for i in range(len(y)):
-            row = fit_rows(x, y[i : i + 1])
-            if keep[i].all():
-                for name in ("slope", "intercept", "r_squared", "n_points"):
-                    assert getattr(mixed, name)[i : i + 1].tobytes() == getattr(row, name).tobytes(), (i, name)
-                error = mixed.errors.get(i)
-                assert (type(error), str(error)) == (type(row.errors.get(0)), str(row.errors.get(0)))
-            else:
-                kept = fit_rows(x[keep[i]], y[i : i + 1, keep[i]])
-                assert mixed.slope[i] == pytest.approx(kept.slope[0], rel=1e-12)
-
-    def test_a_list_mask_is_read_as_booleans(self):
-        x, y = np.arange(4.0), np.array([[1.0, 2.0, 3.0, 5.0]])
-        keep = [[True, True, False, True]]
-        assert _fit_columns(fit_rows(x, y, keep)) == _fit_columns(fit_rows(x, y, np.array(keep)))
-
-    def test_an_integer_mask_is_read_as_booleans(self):
-        x, y = np.arange(4.0), np.array([[1.0, 2.0, 3.0, 5.0]])
-        fits = fit_rows(x, y, np.array([[2, 2, 0, 2]]))
-        assert fits.n_points.tolist() == [3]
-        assert _fit_columns(fits) == _fit_columns(fit_rows(x, y, np.array([[True, True, False, True]])))
-        assert fits.slope[0] == pytest.approx(19.0 / 14.0, rel=1e-14)
 
 
 class TestRowFitsRow:
@@ -199,32 +156,22 @@ class TestRowFitsRow:
             fits.row(0.0)
 
 
-def _per_row_fit(x, y, keep=None):
+def _per_row_fit(x, y):
     """The fit that centres x and sums residuals once per row of ``y``: the reference for the shared x side."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if keep is not None and keep.all():
-        keep = None
-    if keep is None:
-        n = np.full(len(y), y.shape[1])
-    else:
-        x = np.where(keep, x, 0.0)
-        y = np.where(keep, y, 0.0)
-        n = keep.sum(axis=1)
+    n = np.full(len(y), y.shape[1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_mean = x.sum(axis=-1) / n
         y_mean = y.sum(axis=1) / n
         dx = x - x_mean[:, None]
         dy = y - y_mean[:, None]
-        if keep is not None:
-            dx *= keep
-            dy *= keep
         sxx = (dx * dx).sum(axis=-1)
         slope = (dx * dy).sum(axis=1) / sxx
         intercept = y_mean - slope * x_mean
     errors: dict[int, HurstLabError] = {}
     for i in np.flatnonzero(~(np.isfinite(slope) & np.isfinite(sxx))).tolist():
-        if not (np.isfinite(x[i] if x.ndim == 2 else x).all() and np.isfinite(y[i]).all()):
+        if not (np.isfinite(x).all() and np.isfinite(y[i]).all()):
             errors[i] = NonFiniteInput("regression input contains NaN or infinity")
         elif n[i] < 2:
             errors[i] = DegenerateRegression(f"need at least 2 points, got {n[i]}")
@@ -244,33 +191,40 @@ def _line_columns(fits):
 
 class TestSharedXSide:
     def test_x_is_one_row_and_y_a_table(self):
-        # a square 2-D x would otherwise broadcast its row means across the wrong axis
-        for x, y in ((np.ones((2, 2)), np.ones((2, 2))), (np.arange(3.0), np.arange(3.0))):
+        # a square 2-D x would otherwise broadcast its row means across the wrong axis, and a 1-point x
+        # across every point of a row
+        shapes = ((np.ones((2, 2)), np.ones((2, 2))), (np.arange(3.0), np.arange(3.0)), ([5.0], [[1.0, 2.0, 3.0]]),
+                  (np.arange(3.0), np.ones((1, 2))))
+        for x, y in shapes:
             with pytest.raises(InvalidSetting, match="^fit_rows needs a 1-D x and a 2-D y"):
                 fit_rows(x, y)
 
     @pytest.mark.parametrize("seed", range(30))
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_lines_equal_the_per_row_fit_bit_for_bit(self, seed, masked):
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_lines_equal_the_per_row_fit_bit_for_bit(self, seed, subset):
         x, y = _fit_table(seed)
         rng = np.random.Generator(np.random.PCG64(1000 + seed))
         # offsets up to 1e6 and scales down to 1e-8 on the ordinary rows
         y[[0, 1, 3]] = y[[0, 1, 3]] * 10.0 ** rng.uniform(-8, 0, (3, 1)) + rng.uniform(-1e6, 1e6, (3, 1))
-        keep = None
-        if masked:
-            keep = rng.random(y.shape) < 0.7
-            keep[0] = True  # an all-kept row in a masked batch
-            keep[1] = False
-            keep[1, 4] = True  # a single point
-        fits = fit_rows(x, y, keep)
-        assert _line_columns(fits) == _line_columns(_per_row_fit(x, y, keep))
+        if not subset:
+            assert _line_columns(fit_rows(x, y)) == _line_columns(_per_row_fit(x, y))
+            return
+        # each row fitted on a random subset of its points, as GHE refits a row without its zero lags
+        keep = rng.random(y.shape) < 0.7
+        keep[0] = True
+        keep[1] = False
+        keep[1, 4] = True  # a single point
+        for i, kept in enumerate(keep):
+            fits = fit_rows(x[kept], y[i : i + 1, kept])
+            assert _line_columns(fits) == _line_columns(_per_row_fit(x[kept], y[i : i + 1, kept])), i
 
-    @pytest.mark.parametrize("keep", [None, np.ones((2, 5), bool), np.array([[1, 1, 0, 1, 1]] * 2, bool)])
+    @pytest.mark.parametrize("keep", [None, np.arange(5), np.array([0, 1, 3, 4])])
     def test_identical_x_values_fail_as_the_per_row_fit_does(self, keep):
-        x = np.full(5, 2.5)
-        y = np.array([[1.0, 2.0, 3.0, 4.0, 6.0], [1e308] * 5])
-        fits = fit_rows(x, y, keep)
-        assert _line_columns(fits) == _line_columns(_per_row_fit(x, y, keep))
+        points = slice(None) if keep is None else keep
+        x = np.full(5, 2.5)[points]
+        y = np.array([[1.0, 2.0, 3.0, 4.0, 6.0], [1e308] * 5])[:, points]
+        fits = fit_rows(x, y)
+        assert _line_columns(fits) == _line_columns(_per_row_fit(x, y))
         assert type(fits.errors[0]) is DegenerateRegression
 
     def test_a_shared_overflowing_x_side_fails_every_row(self):
@@ -298,18 +252,18 @@ class TestRSquared:
         points = int(rng.integers(5, 20))
         x = np.log(np.arange(1.0, points + 1))
         y = rng.uniform(0.2, 1.0) * x + rng.uniform(-3.0, 3.0) + rng.uniform(0.01, 1.0) * rng.standard_normal((6, points))
-        # GHE-like masks: some rows lose a few lags
+        fits = fit_rows(x, y)
+        for i in range(len(y)):
+            assert abs(fits.r_squared[i] - float(_exact_r_squared(x, y[i]))) <= 1e-12, i
+        # GHE-like refits: some rows lose a few lags
         keep = rng.random(y.shape) < 0.85
         keep[:, :3] = True
-        for mask in (None, keep):
-            fits = fit_rows(x, y, mask)
-            for i in range(len(y)):
-                kept = slice(None) if mask is None else mask[i]
-                exact = _exact_r_squared(x[kept], y[i, kept])
-                assert abs(fits.r_squared[i] - float(exact)) <= 1e-12, (i, mask is None)
+        for i, kept in enumerate(keep):
+            r_squared = fit_rows(x[kept], y[i : i + 1, kept]).r_squared[0]
+            assert abs(r_squared - float(_exact_r_squared(x[kept], y[i, kept]))) <= 1e-12, i
 
     def test_a_horizontal_line_has_r_squared_exactly_one(self):
         x = np.log(np.arange(1.0, 8.0))
-        fits = fit_rows(x, np.full((2, 7), -1.25), np.array([[True] * 7, [True, False] * 3 + [True]]))
-        assert fits.r_squared.tolist() == [1.0, 1.0]
+        assert fit_rows(x, np.full((2, 7), -1.25)).r_squared.tolist() == [1.0, 1.0]
+        assert fit_rows(x[::2], np.full((1, 4), -1.25)).r_squared.tolist() == [1.0]
         assert fit_rows(x, np.full((1, 7), 3.0)).r_squared.tolist() == [1.0]

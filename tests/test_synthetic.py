@@ -7,6 +7,7 @@ import pytest
 from hurstlab import (
     FbmSpec,
     InvalidH,
+    InvalidSetting,
     NonFiniteInput,
     fgn_autocovariance,
     generate_drifted_cohort,
@@ -23,6 +24,12 @@ class TestFbmSpec:
         for h in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(InvalidH):
                 FbmSpec(h=h, length=64, seed=1)
+
+    def test_invalid_h_is_an_invalid_setting(self):
+        # a bad h follows the error contract of every other bad setting
+        assert issubclass(InvalidH, InvalidSetting) and issubclass(InvalidH, ValueError)
+        with pytest.raises(ValueError, match=r"^h must lie in \(0, 1\), got 1.5$"):
+            FbmSpec(h=1.5, length=64, seed=1)
 
     def test_invalid_length_and_scale(self):
         with pytest.raises(ValueError):
