@@ -66,6 +66,7 @@ def _add_cohort_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--drifts", type=_parse_floats, default=_DEFAULT_DRIFTS,
                         help="per-step drift for each h value")
     parser.add_argument("--fbm-scale", type=float, default=0.005, help="fBm step std dev")
+    parser.add_argument("--seed", type=int, default=0, help="cohort seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,13 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--format", choices=("table", "csv"), default="table", help="report file format")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=int, default=0, help="seed for synthetic universes")
     _add_cohort_options(run)
     run.set_defaults(func=cmd_run)
 
     synth = sub.add_parser("synth", help="write a synthetic cohort in ingestion CSV format")
     _add_cohort_options(synth)
-    synth.add_argument("--seed", type=int, default=0, help="cohort seed")
     synth.add_argument("--out", required=True, help="output CSV path")
     synth.set_defaults(func=cmd_synth)
     return parser
@@ -160,13 +159,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         universe = _cohort_from_args(args)
     out_dir = Path(args.out)
-    # Groups are written into a sibling directory and moved into --out only
-    # once every group has succeeded, so a failed run leaves --out as it was.
+    # Groups are written into a directory beside --out's nearest existing ancestor and moved into
+    # --out only once every group has succeeded, so a failed run creates no directory and leaves --out as it was.
     target = out_dir.resolve()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent) as staging:
+    stage_in = next((p for p in target.parents if p.is_dir()), target)
+    with tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=stage_in) as staging:
         summary_reports, total_diagnostics = _write_groups(args, universe, specs, Path(staging))
-        target.mkdir(exist_ok=True)
+        target.mkdir(parents=True, exist_ok=True)
         for path in sorted(Path(staging).iterdir()):
             path.replace(target / path.name)
     for method in methods:

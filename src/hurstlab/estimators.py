@@ -193,11 +193,10 @@ def _blocks(values: np.ndarray, m: int) -> np.ndarray:
     return values[..., : d * m].reshape(*values.shape[:-1], d, m)
 
 
-def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lags 1..tau_max and each row's mean |X(t+tau)-X(t)|**q over overlapping increments.
+def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> np.ndarray:
+    """``(rows, tau_max)`` mean |X(t+tau)-X(t)|**q over overlapping increments, lags 1..tau_max.
 
-    Works along the last axis: ``v`` of shape ``(..., n)`` with
-    ``n > tau_max`` gives a ``(..., tau_max)`` statistic.  Rows that start
+    ``v`` is a ``(rows, n)`` matrix with ``n > tau_max``.  Rows that start
     ``step`` points apart on one stretch of a series, ``0 < step <= n``
     (overlapping windows, or a C-contiguous matrix), share that stretch:
     each lag's |increments| are computed once over it, so the temporary
@@ -206,9 +205,8 @@ def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.
     row's sum runs over the same values in the same order whatever the
     layout, so its statistic is bit-identical to that row's alone.
     """
-    *lead, n = v.shape
-    v = v.reshape(-1, n)
-    rows, item = len(v), v.itemsize
+    rows, n = v.shape
+    item = v.itemsize
     step = v.strides[0] // item if rows > 1 else n
     if v.strides[1] != item or v.strides[0] % item or not 0 < step <= n:
         v, step = np.ascontiguousarray(v), n
@@ -219,17 +217,16 @@ def _lag_moments(v: np.ndarray, q: float, tau_max: int) -> tuple[np.ndarray, np.
         per_row = increments[None]
     else:
         per_row = np.ndarray((rows, n - 1), buffer=increments, strides=(step * item, item))
-    taus = np.arange(1, tau_max + 1)
     sums = np.empty((rows, tau_max))
     # positional outputs and a reduce straight into sums keep one row as cheap as a plain difference
-    for i, t in enumerate(taus.tolist()):
+    for t in range(1, tau_max + 1):
         moments = increments[: len(stretch) - t]
         np.subtract(stretch[t:], stretch[:-t], moments)
         np.abs(moments, moments)
         if q != 1.0:
             moments **= q
-        np.add.reduce(per_row[:, : n - t], axis=-1, out=sums[:, i])
-    return taus, (sums / (n - taus)).reshape(*lead, tau_max)
+        np.add.reduce(per_row[:, : n - t], axis=-1, out=sums[:, t - 1])
+    return sums / (n - np.arange(1, tau_max + 1))
 
 
 def _detrended_fluctuations(signal: np.ndarray, scales, q: float) -> np.ndarray:
@@ -292,7 +289,7 @@ def statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig) -> np.n
     """The ``(rows, scales)`` statistic of every row of ``windows``: the first stage of ``estimate_rows``."""
     check_length(method, cfg, windows.shape[1])
     if method is Method.GHE:
-        return _lag_moments(windows, cfg.q, cfg.tau_max)[1]
+        return _lag_moments(windows, cfg.q, cfg.tau_max)
     scales = cfg.scales()
     windows = np.ascontiguousarray(windows)
     if method is Method.GM2:

@@ -275,9 +275,9 @@ def _add_plain_blocks(columns: _Columns, f: BinaryIO) -> int:
 
 
 def ingest_dir(path: str | Path) -> list[PriceSeries]:
-    """Read every ``*.csv`` file under ``path`` (one or more instruments each)."""
+    """Read every regular ``*.csv`` file in ``path`` (one or more instruments each); subdirectories are not read."""
     path = Path(path)
-    files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".csv")
+    files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".csv" and p.is_file())
     if not files:
         raise MalformedRow(f"{path}: no .csv files found")
     universe: list[PriceSeries] = []

@@ -281,13 +281,12 @@ class BucketRow:
 
 @dataclass(frozen=True)
 class BucketReport:
-    """Annualized expected return per exponent bucket for one (window, method)."""
+    """Annualized expected return per exponent bucket for one (window, method); the last row is "any"."""
 
     window: int
     method: Method
     scheme: str
     rows: tuple[BucketRow, ...]
-    benchmark_row: BucketRow
 
 
 def _bucket_row(label: str, forwards: np.ndarray, window: int) -> BucketRow:
@@ -298,11 +297,9 @@ def _bucket_row(label: str, forwards: np.ndarray, window: int) -> BucketRow:
 
 
 def report(pool: ObservationPool, scheme: str = "quintile") -> BucketReport:
-    """Bucketed annualized-return table of one pool plus the unconditional "any" row."""
+    """Bucketed annualized-return table of one pool, ending with the unconditional "any" row."""
     indices = bucketize(pool, scheme)
     forwards = pool.forward_log_return
-    rows = tuple(
-        _bucket_row(label, forwards[indices == i], pool.window) for i, label in enumerate(_LABELS[scheme])
-    )
-    benchmark = _bucket_row(ANY_LABEL, forwards, pool.window)
-    return BucketReport(pool.window, pool.method, scheme, rows, benchmark)
+    rows = [_bucket_row(label, forwards[indices == i], pool.window) for i, label in enumerate(_LABELS[scheme])]
+    rows.append(_bucket_row(ANY_LABEL, forwards, pool.window))
+    return BucketReport(pool.window, pool.method, scheme, tuple(rows))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidSetting
 from .ingest import _csv_field
-from .pipeline import BucketReport, BucketRow, ObservationPool
+from .pipeline import BucketReport, ObservationPool
 
 __all__ = [
     "OBSERVATION_COLUMNS",
@@ -48,10 +48,6 @@ def observations_csv(pool: ObservationPool) -> str:
     return header + (row * len(pool)) % tuple(fields)
 
 
-def _all_rows(rep: BucketReport) -> list[BucketRow]:
-    return [*rep.rows, rep.benchmark_row]
-
-
 def _fmt_pct(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.2f}%"
 
@@ -83,9 +79,9 @@ def render_method_table(reports: Sequence[BucketReport]) -> str:
         if rep.method is not method or rep.scheme != scheme:
             raise InvalidSetting("render_method_table expects one method and one scheme")
     reports = sorted(reports, key=lambda r: r.window)
-    labels = [row.label for row in _all_rows(reports[0])]
+    labels = [row.label for row in reports[0].rows]
     columns = [
-        (str(rep.window), [_fmt_pct(row.annualized_return) for row in _all_rows(rep)])
+        (str(rep.window), [_fmt_pct(row.annualized_return) for row in rep.rows])
         for rep in reports
     ]
     title = f"Annualized return for {method.value} ({scheme} buckets)"
@@ -95,7 +91,7 @@ def render_method_table(reports: Sequence[BucketReport]) -> str:
 def report_csv(rep: BucketReport) -> str:
     """Report rows (buckets then the "any" row) as CSV text, returns with 9 significant digits."""
     lines = ["bucket,count,annualized_return_pct\n"]
-    for row in _all_rows(rep):
+    for row in rep.rows:
         pct = "" if math.isnan(row.annualized_return) else f"{row.annualized_return:.9g}"
         lines.append(f"{row.label},{row.count},{pct}\n")
     return "".join(lines)

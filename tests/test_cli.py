@@ -226,10 +226,10 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jump.csv", "out"]
 
-    def test_failed_run_creates_no_out_dir(self, tmp_path):
-        out = tmp_path / "new"
+    @pytest.mark.parametrize("out", ["new", "a/b/new"], ids=["flat", "nested"])
+    def test_failed_run_creates_no_out_dir(self, tmp_path, out):
         code = _run(["run", "--synthetic-cohort", "--n", "6", "--len", "600", "--windows", "512",
-                     "--out", out])
+                     "--out", tmp_path / out])
         assert code == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -255,6 +255,7 @@ class TestRun:
         data = tmp_path / "data"
         data.mkdir()
         assert _run(["synth", "--n", "6", "--len", "400", "--out", data / "u.csv"]) == 0
+        (data / "sub.csv").mkdir()  # a directory is not an input file, whatever its name
         windows = ["--windows", "32,64"]
         assert _run(["run", "--input", data / "u.csv", *windows, "--out", tmp_path / "file"]) == 0
         assert _run(["run", "--input", data, *windows, "--out", tmp_path / "dir"]) == 0

@@ -1,7 +1,5 @@
 """Estimated exponents agree with the definitions in ``exact_reference`` to 1e-12, and reports bit for bit."""
 
-import contextlib
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +27,7 @@ from hurstlab import (
 )
 from hurstlab import cli
 from test_estimators import PERIODIC, _periodic_log_prices
+from test_trees import make_trees
 from test_pipeline import _halted_walk
 
 TOLERANCE = 1e-12
@@ -179,24 +178,28 @@ def test_dfa_pools_of_a_scan_agree_with_the_exact_reference():
             assert abs(h - ref.dfa(values, mode=mode)) <= TOLERANCE, (mode, window, h)
 
 
-@pytest.fixture(scope="module")
-def default_run_reports(tmp_path_factory):
-    """Every (pool, scheme, report) of the default ``hurstscan run``, as the CLI computed them."""
+def _run_reports(name, scratch):
+    """Every (pool, scheme, report) of the pinned run ``name``, as the CLI computed them."""
     made = []
 
     def recording(pool, scheme="quintile"):
         made.append((pool, scheme, report(pool, scheme)))
         return made[-1][2]
 
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "report", recording)
-        assert cli.main(["run", "--synthetic-cohort", "--out", str(tmp_path_factory.mktemp("run") / "out")]) == 0
+        make_trees.run_tree(name, scratch)
     return made
+
+
+@pytest.fixture(scope="module")
+def default_run_reports(tmp_path_factory):
+    return _run_reports("default", tmp_path_factory.mktemp("run"))
 
 
 def _report_rows(rep):
     """(count, repr of the annualized return) of each bucket row, then of the "any" row."""
-    return [(row.count, repr(row.annualized_return)) for row in (*rep.rows, rep.benchmark_row)]
+    return [(row.count, repr(row.annualized_return)) for row in rep.rows]
 
 
 def _assert_report_is_exact(pool, scheme, rep):
@@ -217,6 +220,17 @@ def test_every_report_of_the_default_run_equals_the_exact_reference(default_run_
     for pool, scheme, rep in default_run_reports:
         _assert_report_is_exact(pool, scheme, rep)
     assert sum(len(_report_rows(rep)) for _, _, rep in default_run_reports) == 135
+
+
+@pytest.mark.parametrize("name", sorted(set(make_trees.CONFIGS) - {"default"}))
+def test_every_report_of_each_pinned_run_equals_the_exact_reference(name, tmp_path):
+    # the 6 x 400 runs of tests/fixtures/trees.json: every pool of each, under both schemes
+    args = make_trees.CONFIGS[name]
+    windows = args[args.index("--windows") + 1].split(",")
+    made = _run_reports(name, tmp_path)
+    assert len(made) == 3 * len(windows) * 2
+    for pool, scheme, rep in made:
+        _assert_report_is_exact(pool, scheme, rep)
 
 
 @pytest.mark.parametrize("scheme, rows", [("quintile", 20), ("quintile", 41), ("tail", 40), ("tail", 41)])

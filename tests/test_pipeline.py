@@ -316,7 +316,7 @@ class TestBucketize:
         pool = _pool([0.5] * 25)
         assert set(bucketize(pool, "quintile").tolist()) == {QUINTILE_LABELS.index("very high")}
         rep = report(pool)
-        assert [row.count for row in rep.rows] == [0, 0, 0, 0, 25]
+        assert [row.count for row in rep.rows[:-1]] == [0, 0, 0, 0, 25]
 
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
@@ -353,36 +353,34 @@ class TestReport:
     def test_zero_returns_give_zero_rows(self):
         rep = report(_grid_pool(100))
         assert all(row.annualized_return == 0.0 for row in rep.rows)
-        assert rep.benchmark_row.annualized_return == 0.0
-        assert rep.benchmark_row.label == ANY_LABEL
+        assert rep.rows[-1].label == ANY_LABEL
 
     def test_counts_partition_into_any(self):
         rep = report(_grid_pool(100))
-        assert sum(row.count for row in rep.rows) == rep.benchmark_row.count == 100
-        assert [row.count for row in rep.rows] == [20] * 5
+        assert sum(row.count for row in rep.rows[:-1]) == rep.rows[-1].count == 100
+        assert [row.count for row in rep.rows[:-1]] == [20] * 5
 
     def test_benchmark_matches_weighted_bucket_means(self):
         fwd_by_bucket = [0.00, 0.01, 0.02, 0.03, 0.05]
         rep = report(_grid_pool(100, fwd_by_bucket))
         # invert annualization back to mean log returns, then weight by counts
         inverted = [
-            math.log(1.0 + row.annualized_return / 100.0) * 128.0 / 252.0 for row in rep.rows
+            math.log(1.0 + row.annualized_return / 100.0) * 128.0 / 252.0 for row in rep.rows[:-1]
         ]
         weighted = sum(m * row.count for m, row in zip(inverted, rep.rows)) / 100.0
-        any_mean = math.log(1.0 + rep.benchmark_row.annualized_return / 100.0) * 128.0 / 252.0
+        any_mean = math.log(1.0 + rep.rows[-1].annualized_return / 100.0) * 128.0 / 252.0
         assert weighted == pytest.approx(any_mean, rel=1e-12)
 
     def test_rows_follow_bucket_means(self):
         fwd_by_bucket = [0.00, 0.01, 0.02, 0.03, 0.05]
         rep = report(_grid_pool(100, fwd_by_bucket))
         expected = [annualize(f, 128) for f in fwd_by_bucket]
-        assert [row.annualized_return for row in rep.rows] == pytest.approx(expected, rel=1e-12)
+        assert [row.annualized_return for row in rep.rows[:-1]] == pytest.approx(expected, rel=1e-12)
 
     def test_tail_report_shape(self):
         rep = report(_grid_pool(100), scheme="tail")
-        assert [row.label for row in rep.rows] == list(TAIL_LABELS)
-        assert [row.count for row in rep.rows] == [5, 5]
-        assert rep.benchmark_row.count == 100
+        assert [row.label for row in rep.rows] == [*TAIL_LABELS, ANY_LABEL]
+        assert [row.count for row in rep.rows] == [5, 5, 100]
 
 
 class TestDeterminismAndInvariance:
