@@ -17,6 +17,7 @@ output trees.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import tempfile
 from dataclasses import replace
@@ -58,15 +59,23 @@ def _parse_methods(text: str) -> list[Method]:
     return methods
 
 
+class _CohortOption(argparse.Action):
+    """Store the value and record the first cohort option given, which ``run --input`` refuses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.cohort_option = namespace.cohort_option or option_string
+
+
 def _add_cohort_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=60, help="number of synthetic series")
-    parser.add_argument("--len", dest="length", type=int, default=2048, help="series length")
-    parser.add_argument("--h-values", type=_parse_floats, default=_DEFAULT_H_VALUES,
-                        help="cycled roughness values")
-    parser.add_argument("--drifts", type=_parse_floats, default=_DEFAULT_DRIFTS,
-                        help="per-step drift for each h value")
-    parser.add_argument("--fbm-scale", type=float, default=0.005, help="fBm step std dev")
-    parser.add_argument("--seed", type=int, default=0, help="cohort seed")
+    option = functools.partial(parser.add_argument, action=_CohortOption)
+    option("--n", type=int, default=60, help="number of synthetic series")
+    option("--len", dest="length", type=int, default=2048, help="series length")
+    option("--h-values", type=_parse_floats, default=_DEFAULT_H_VALUES, help="cycled roughness values")
+    option("--drifts", type=_parse_floats, default=_DEFAULT_DRIFTS, help="per-step drift for each h value")
+    option("--fbm-scale", type=float, default=0.005, help="fBm step std dev")
+    option("--seed", type=int, default=0, help="cohort seed")
+    parser.set_defaults(cohort_option=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +146,8 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.input and args.cohort_option:
+        raise HurstLabError(f"{args.cohort_option} applies only to --synthetic-cohort, not to --input")
     methods = args.methods
     windows = sorted(set(args.windows))
     if not windows:

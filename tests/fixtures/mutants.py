@@ -55,7 +55,15 @@ MUTANTS = {
     "ghe-default-tau-max-18": ("estimators.py", "tau_max = max(2, min(19, length - 1))",
                                "tau_max = max(2, min(18, length - 1))"),
     "gm2-k-min-one-lower": ("estimators.py", "k_min = max(2, k_max - 3)", "k_min = max(2, k_max - 4)"),
-    "dfa-detrended-by-block-mean-only": ("estimators.py", "        resid -= slopes[..., None] * dt\n", ""),
+    "dfa-detrended-by-block-mean-only": (
+        "estimators.py",
+        "        np.subtract(flat, np.multiply(slopes.reshape(-1, 1), dt, order=order), out=flat, order=order)\n", ""),
+    # the same arithmetic, rounded once less: the block mean and the ramp are summed before they are subtracted
+    "dfa-mean-and-ramp-removed-in-one-step": (
+        "estimators.py",
+        "        np.subtract(flat, (resid @ ones / m).reshape(-1, 1), out=flat, order=order)\n"
+        "        np.subtract(flat, np.multiply(slopes.reshape(-1, 1), dt, order=order), out=flat, order=order)\n",
+        "        np.subtract(flat, (resid @ ones / m).reshape(-1, 1) + slopes.reshape(-1, 1) * dt, out=flat, order=order)\n"),
     "ghe-divided-by-q-twice": ("estimators.py", "h = fits.slope / cfg.q if", "h = fits.slope / cfg.q / cfg.q if"),
     "r2-zero-for-a-horizontal-line": (
         "series.py", "np.where(syy == 0.0, 1.0, slope * sxy / syy)", "np.where(syy == 0.0, 0.0, slope * sxy / syy)"),

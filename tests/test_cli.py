@@ -167,6 +167,17 @@ class TestRun:
         assert capsys.readouterr().err == "error: dfa: largest block 2**4 does not fit in 15 points\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "99"), ("--len", "600"), ("--h-values", "0.9"), ("--drifts", "0"), ("--fbm-scale", "0.01"),
+        ("--seed", "0"),  # a cohort default given explicitly is refused too
+    ])
+    def test_input_refuses_cohort_options(self, tmp_path, capsys, option, value):
+        # the missing file is never opened: the option is judged first
+        args = ["run", "--input", tmp_path / "missing.csv", "--windows", "32", option, value, "--out", tmp_path / "o"]
+        assert _run(args) == 1
+        assert capsys.readouterr().err == f"error: {option} applies only to --synthetic-cohort, not to --input\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_group_leaves_out_dir_untouched(self, tmp_path, capsys):
         # 600 days give window 32 its groups but leave w512 without observations
         out = tmp_path / "out"
