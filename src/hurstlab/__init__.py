@@ -15,8 +15,6 @@ from .errors import (
     TooFewObservations,
 )
 from .estimators import (
-    DFA_MODE_PROFILE,
-    DFA_MODE_RAW,
     EstimatorConfig,
     HEstimate,
     Method,

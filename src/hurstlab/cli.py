@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import HurstLabError
-from .estimators import DFA_MODE_PROFILE, DFA_MODE_RAW, Method, default_config
+from .estimators import Method, default_config
 from .ingest import ingest_csv, ingest_dir, write_csv
 from .pipeline import ScanSpec, scan, report
 from .reporting import observations_csv, render_method_table, report_csv
@@ -92,24 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--windows", type=_parse_ints, default=_DEFAULT_WINDOWS,
                      help="comma-separated window sizes")
-    run.add_argument("--roll", type=int, default=20, help="roll step in trading days")
+    rolling = run.add_mutually_exclusive_group()
+    # argparse parses a string default like a given value, so a given "--roll 20" is not taken for the default
+    rolling.add_argument("--roll", type=int, default="20", help="roll step in trading days")
+    rolling.add_argument(
+        "--non-overlapping",
+        action="store_true",
+        help="roll by one full window instead of --roll days",
+    )
     run.add_argument("--methods", type=_parse_methods, default=_DEFAULT_METHODS,
                      help="comma-separated estimators")
     run.add_argument("--tau-max", type=int, default=None, help="override GHE maximum lag")
     run.add_argument("--k-min", type=int, default=None, help="override smallest block exponent")
     run.add_argument("--k-max", type=int, default=None, help="override largest block exponent")
     run.add_argument("--q", type=float, default=None, help="override moment order")
-    run.add_argument(
-        "--dfa-profile",
-        choices=(DFA_MODE_PROFILE, DFA_MODE_RAW),
-        default=DFA_MODE_PROFILE,
-        help="detrend the return profile (default) or the raw log prices",
-    )
-    run.add_argument(
-        "--non-overlapping",
-        action="store_true",
-        help="roll by one full window instead of --roll days",
-    )
     run.add_argument(
         "--exclude-suspect",
         action="store_true",
@@ -159,9 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             window=window,
             roll_step=window if args.non_overlapping else args.roll,
             methods=tuple(methods),
-            configs={
-                m: replace(default_config(m, window, dfa_mode=args.dfa_profile), **overrides) for m in methods
-            },
+            configs={m: replace(default_config(m, window), **overrides) for m in methods},
         )
         for window in windows
     ]

@@ -10,8 +10,8 @@ scale, and the exponent is read off each row's slope.
   slope / q.  Lags whose moment is exactly zero are left out of that
   row's fit.
 * DFA  -- fluctuation function of block-wise linearly detrended data
-  (multifractal DFA with q = 2 giving the classical variant).  By
-  default it detrends the log prices from their second point on: the
+  (multifractal DFA with q = 2 giving the classical variant).  It
+  detrends the log prices from their second point on: the
   classical cumulative profile of mean-centered log returns is ``x[1:]``
   less the offset ``x[0]`` and a linear ramp, and linear detrending
   removes both.
@@ -47,8 +47,6 @@ __all__ = [
     "Method",
     "EstimatorConfig",
     "HEstimate",
-    "DFA_MODE_PROFILE",
-    "DFA_MODE_RAW",
     "default_config",
     "estimate",
     "estimate_rows",
@@ -63,10 +61,6 @@ class Method(enum.Enum):
     GHE = "GHE"
     DFA = "DFA"
     GM2 = "GM2"
-
-
-DFA_MODE_PROFILE = "profile"
-DFA_MODE_RAW = "raw"
 
 
 # entries kept by each per-config cache: every (method, config) a run or a calibration uses
@@ -93,21 +87,16 @@ class EstimatorConfig:
 
     ``q`` is the moment order (1 for GHE, 2 for DFA; unused by GM2),
     ``tau_max`` the largest increment lag considered by GHE,
-    ``k_min``/``k_max`` bound the dyadic block sizes used by DFA and GM2,
-    and ``dfa_mode`` picks DFA's signal: ``"profile"`` (the return
-    profile) or ``"raw"`` (the log prices); GHE and GM2 ignore it.
+    and ``k_min``/``k_max`` bound the dyadic block sizes used by DFA and GM2.
     """
 
     q: float = 1.0
     tau_max: int = 19
     k_min: int = 2
     k_max: int = 8
-    dfa_mode: str = DFA_MODE_PROFILE
 
     def __post_init__(self):
         require_integers(self, "tau_max", "k_min", "k_max")
-        if self.dfa_mode not in (DFA_MODE_PROFILE, DFA_MODE_RAW):
-            raise InvalidSetting(f"unknown dfa mode {self.dfa_mode!r}")
         if not 0.0 < self.q < np.inf:
             raise InvalidSetting(f"q must be positive and finite, got {self.q}")
         if self.tau_max < 2:
@@ -141,7 +130,7 @@ def is_suspect(h):
     return np.logical_not((0.0 < h) & (h < 2.0))
 
 
-def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE) -> EstimatorConfig:
+def default_config(method: Method, length: int) -> EstimatorConfig:
     """Default configuration for a window of ``length`` points; the only source of defaults.
 
     GHE's ``tau_max`` is 19, or ``length - 1`` (at least 2) on shorter
@@ -155,19 +144,19 @@ def default_config(method: Method, length: int, dfa_mode: str = DFA_MODE_PROFILE
     mostly bias.  The bias shrinks as the blocks grow: at H = 0.3 the
     mean over 200 fBm paths is about 0.38 at 512 points and falls within
     0.05 of H from 8192 points (blocks of 512-4096).  A config is frozen,
-    so each (method, length, mode) is derived once and then shared.
+    so each (method, length) is derived once and then shared.
     """
-    return _default_config(method, _integer("length", length), dfa_mode)
+    return _default_config(method, _integer("length", length))
 
 
 @functools.lru_cache(maxsize=_CONFIG_CACHE)
-def _default_config(method: Method, length: int, dfa_mode: str) -> EstimatorConfig:
+def _default_config(method: Method, length: int) -> EstimatorConfig:
     """``default_config`` of an int length, memoized; an error is raised again on every call."""
     q = 2.0 if method is Method.DFA else 1.0
     tau_max = max(2, min(19, length - 1))
     k_max = max((length // 2).bit_length() - 1, 4)
     k_min = max(2, k_max - 3) if method is Method.GM2 else 2
-    cfg = EstimatorConfig(q=q, tau_max=tau_max, k_min=k_min, k_max=k_max, dfa_mode=dfa_mode)
+    cfg = EstimatorConfig(q=q, tau_max=tau_max, k_min=k_min, k_max=k_max)
     check_length(method, cfg, length)
     return cfg
 
@@ -180,8 +169,8 @@ def check_length(method: Method, cfg: EstimatorConfig, length: int) -> None:
         if length <= cfg.tau_max:
             raise SeriesTooShort(f"ghe: need more than tau_max={cfg.tau_max} points, got {length}")
         return
-    # DFA's profile mode detrends x[1:], one point fewer
-    partition = max(length - 1, 0) if (method is Method.DFA and cfg.dfa_mode == DFA_MODE_PROFILE) else length
+    # DFA detrends x[1:], one point fewer
+    partition = max(length - 1, 0) if method is Method.DFA else length
     if 2 ** cfg.k_max >= partition:
         label = method.value.lower()
         raise SeriesTooShort(f"{label}: largest block 2**{cfg.k_max} does not fit in {partition} points")
@@ -305,13 +294,10 @@ def statistic(method: Method, windows: np.ndarray, cfg: EstimatorConfig) -> np.n
     check_length(method, cfg, windows.shape[1])
     if method is Method.GHE:
         return _lag_moments(windows, cfg.q, cfg.tau_max)
-    scales = cfg.scales()
-    windows = np.ascontiguousarray(windows)
     if method is Method.GM2:
-        return _mean_block_ranges(windows, scales)
+        return _mean_block_ranges(windows, cfg.scales())
     # detrending absorbs the return profile's offset and mean-return ramp
-    signal = windows[:, 1:] if cfg.dfa_mode == DFA_MODE_PROFILE else windows
-    return _detrended_fluctuations(signal, scales, cfg.q)
+    return _detrended_fluctuations(windows[:, 1:], cfg.scales(), cfg.q)
 
 
 _ZERO_STATISTIC = {
@@ -363,17 +349,17 @@ def estimate_rows(
 ) -> tuple[np.ndarray, RowFits]:
     """Exponent and log-log fit of every row of a ``(rows, length)`` matrix of log prices.
 
-    Returns ``(h, fits)``.  Every setting, DFA's mode included, comes
-    from ``cfg``, by default ``default_config(method, length)``.  Exactly
-    the rows whose statistic or fit is degenerate hold NaN in ``h``, each
-    with its error in ``fits.errors``, the one the one-row estimator raises; a
-    length that ``check_length`` rejects for the config raises for the whole matrix.
+    Returns ``(h, fits)``.  Every setting comes from ``cfg``, by default
+    ``default_config(method, length)``.  Exactly the rows whose statistic
+    or fit is degenerate hold NaN in ``h``, each with its error in
+    ``fits.errors``, the one the one-row estimator raises; a length that
+    ``check_length`` rejects for the config raises for the whole matrix.
     ``windows`` may be any 2-D float array: a C-contiguous matrix, or a
     view whose rows are overlapping windows of one series, such as
     ``sliding_window_view(x, n)[::step]``.  GHE reads such a view in place
-    and computes each lag's increments once for all its rows; DFA and GM2
-    copy it into one C-contiguous matrix.  Rows are computed independently
-    of each other, in both stages.
+    and computes each lag's increments once for all its rows; DFA copies
+    each scale's blocks out of it, and GM2 its smallest blocks.  Rows are
+    computed independently of each other, in both stages.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
@@ -398,12 +384,11 @@ def ghe(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
 def dfa(x: LogSeries, cfg: EstimatorConfig | None = None) -> HEstimate:
     """Detrended fluctuation analysis of the log-price window.
 
-    ``cfg.dfa_mode`` picks the signal.  ``"profile"`` (default) is the
-    standard construction on the cumulative sum of mean-centered log
-    returns.  That profile differs from ``x[1:]`` by an offset and a
-    linear ramp, which block-wise linear detrending removes, so this mode
-    detrends ``x[1:]``.  ``"raw"`` detrends all of the log prices; take
-    its config from ``default_config(Method.DFA, len(x), DFA_MODE_RAW)``.
+    The signal is the standard construction, the cumulative sum of
+    mean-centered log returns.  That profile differs from ``x[1:]`` by an
+    offset and a linear ramp, which block-wise linear detrending removes,
+    so DFA detrends ``x[1:]``.  To detrend all of the log prices instead,
+    prepend any one point to ``x``.
     Each dyadic scale m yields the fluctuation ``F_m = (mean over blocks
     of B_i) ** (1/q)`` with ``B_i = (mean squared residual) ** (q/2)``;
     the exponent is the slope of ``log F_m`` against ``log m``.

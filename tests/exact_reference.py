@@ -19,7 +19,8 @@ and plain on purpose; it is a judge, not an implementation.
   divided by q.
 * DFA (Peng et al. 1994, Phys. Rev. E 49; Kantelhardt et al. 2002,
   Physica A 316): the signal is the cumulative profile of the mean-centred
-  log returns (n - 1 points), or the log prices themselves in raw mode.
+  log returns (n - 1 points), or the log prices themselves with
+  ``mode="raw"``, which ``dfa`` detrends after one more leading point.
   For each dyadic scale m it is cut into non-overlapping blocks from its
   start (tail remainder dropped); B is the mean squared residual of each
   block's least-squares line, and F_m = (mean over blocks of

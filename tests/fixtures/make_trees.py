@@ -36,7 +36,6 @@ CONFIGS = {
     "seed0": [*COHORT, "--windows", "32,64", "--seed", "0"],
     "seed1": [*COHORT, "--windows", "32,64", "--seed", "1"],
     "seed2": [*COHORT, "--windows", "32,64", "--seed", "2"],
-    "dfa-raw": [*COHORT, "--windows", "32,64", "--dfa-profile", "raw"],
     "exclude-suspect": [*COHORT, "--windows", "32,64", "--exclude-suspect"],
     "q0.5": [*COHORT, "--windows", "32,64", "--q", "0.5"],
     "format-csv": [*COHORT, "--windows", "32,64", "--format", "csv"],

@@ -126,14 +126,15 @@ class TestRun:
         )
         assert code == 0
 
-    def test_dfa_raw_mode(self, tmp_path):
-        out_raw, out_prof = tmp_path / "raw", tmp_path / "prof"
-        args = ["run", *COHORT_ARGS, "--windows", "64", "--methods", "dfa"]
-        assert _run([*args, "--dfa-profile", "raw", "--out", out_raw]) == 0
-        assert _run([*args, "--out", out_prof]) == 0
-        raw = (out_raw / "observations_dfa_w64.csv").read_bytes()
-        prof = (out_prof / "observations_dfa_w64.csv").read_bytes()
-        assert raw != prof  # the switch changes the detrended signal
+    @pytest.mark.parametrize("roll", ["5", "20"])  # 20 is the default
+    def test_roll_and_non_overlapping_exclude_each_other(self, tmp_path, capsys, roll):
+        args = ["run", *COHORT_ARGS, "--windows", "32", "--methods", "ghe"]
+        for rolling in (["--roll", roll, "--non-overlapping"], ["--non-overlapping", "--roll", roll]):
+            with pytest.raises(SystemExit) as exit_info:
+                _run([*args, *rolling, "--out", tmp_path / "o"])
+            assert exit_info.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         for methods in ("rs", ","):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hurstlab import DFA_MODE_PROFILE, DFA_MODE_RAW, DegenerateRegression, FbmSpec, Method, ScanSpec
+from hurstlab import DegenerateRegression, FbmSpec, Method, ScanSpec
 from hurstlab import cli, default_config, generate_fbm
 from hurstlab.estimators import _block_ramp, _blocks, estimate_rows, statistic
 from hurstlab.pipeline import _batches
@@ -39,11 +39,9 @@ def _oracle(signal: np.ndarray, scales, q: float) -> np.ndarray:
 
 
 def _assert_oracle(windows, cfg) -> np.ndarray:
-    """``statistic`` of ``windows`` equals the oracle's on the same signal, bit for bit; returns it."""
+    """``statistic`` of ``windows`` equals the oracle's on the same signal, x[1:], bit for bit; returns it."""
     stat = statistic(Method.DFA, windows, cfg)
-    contiguous = np.ascontiguousarray(windows)
-    signal = contiguous[:, 1:] if cfg.dfa_mode == DFA_MODE_PROFILE else contiguous
-    assert np.array_equal(stat, _oracle(signal, cfg.scales(), cfg.q))
+    assert np.array_equal(stat, _oracle(np.ascontiguousarray(windows)[:, 1:], cfg.scales(), cfg.q))
     return stat
 
 
@@ -54,12 +52,12 @@ def default_cohort():
     return sorted(cli._cohort_from_args(args), key=lambda s: s.instrument_id)
 
 
-@pytest.mark.parametrize("mode", [DFA_MODE_PROFILE, DFA_MODE_RAW])
-@pytest.mark.parametrize("window", WINDOWS)
+# each id ends in the signal DFA detrends, the return profile
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda window: f"{window}-profile")
 @pytest.mark.parametrize("rolling", ["roll-20", "non-overlapping"])
-def test_every_batch_of_the_default_run(default_cohort, window, mode, rolling):
+def test_every_batch_of_the_default_run(default_cohort, window, rolling):
     spec = ScanSpec(window=window, roll_step=20 if rolling == "roll-20" else window)
-    cfg = default_config(Method.DFA, window, mode)
+    cfg = default_config(Method.DFA, window)
     batches = [windows for _, _, _, windows, _ in _batches(default_cohort, spec)]
     assert len(batches) > 1
     for windows in batches:
@@ -69,8 +67,7 @@ def test_every_batch_of_the_default_run(default_cohort, window, mode, rolling):
 @pytest.mark.parametrize("q", [1.0, 3.0])
 def test_other_moment_orders(default_cohort, q):
     windows = next(_batches(default_cohort, ScanSpec(window=128, roll_step=20)))[3]
-    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
-        _assert_oracle(windows, replace(default_config(Method.DFA, 128, mode), q=q))
+    _assert_oracle(windows, replace(default_config(Method.DFA, 128), q=q))
 
 
 @pytest.mark.parametrize("length", [128, 512, 2048])

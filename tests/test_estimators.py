@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstlab import (
-    DFA_MODE_PROFILE,
-    DFA_MODE_RAW,
     DegenerateRegression,
     EstimatorConfig,
     FbmSpec,
@@ -34,6 +32,7 @@ from hurstlab.estimators import (
     HEstimate,
     _block_ramp,
     _blocks,
+    _detrended_fluctuations,
     _lag_moments,
     _log_scales,
     check_length,
@@ -104,33 +103,28 @@ class TestConfig:
         with pytest.raises(SeriesTooShort):
             default_config(Method.GM2, 12)
 
-    @pytest.mark.parametrize("method, mode, shortest", [
-        (Method.GHE, DFA_MODE_PROFILE, 3),  # reads lags, not blocks
-        (Method.GM2, DFA_MODE_PROFILE, 17),
-        (Method.DFA, DFA_MODE_RAW, 17),
-        (Method.DFA, DFA_MODE_PROFILE, 18),  # detrends x[1:]
+    # the signal each method reads: the log prices, or DFA's return profile x[1:]
+    @pytest.mark.parametrize("method, signal, shortest", [
+        (Method.GHE, "prices", 3),  # reads lags, not blocks
+        (Method.GM2, "prices", 17),
+        (Method.DFA, "profile", 18),
     ])
-    def test_default_config_raises_below_its_shortest_length(self, method, mode, shortest):
+    def test_default_config_raises_below_its_shortest_length(self, method, signal, shortest):
         # lengths 0 and 1 included: they must raise, not loop; the messages are check_length's
         for length in range(shortest):
             if method is Method.GHE:
                 message = f"ghe: need more than tau_max=2 points, got {length}"
             else:
                 # x[1:] of an empty window is empty, not -1 points long
-                partition = max(length - 1, 0) if shortest == 18 else length
+                partition = max(length - 1, 0) if signal == "profile" else length
                 message = f"{method.value.lower()}: largest block 2**4 does not fit in {partition} points"
             with pytest.raises(SeriesTooShort) as err:
-                default_config(method, length, mode)
+                default_config(method, length)
             assert str(err.value) == message
-        check_length(method, default_config(method, shortest, mode), shortest)
+        check_length(method, default_config(method, shortest), shortest)
 
-    @pytest.mark.parametrize("method, mode", [
-        (Method.GHE, DFA_MODE_PROFILE),
-        (Method.GM2, DFA_MODE_PROFILE),
-        (Method.DFA, DFA_MODE_RAW),
-        (Method.DFA, DFA_MODE_PROFILE),
-    ])
-    def test_default_config_raises_only_where_check_length_does(self, method, mode):
+    @pytest.mark.parametrize("method", list(Method))
+    def test_default_config_raises_only_where_check_length_does(self, method):
         for length in range(41):
             # the config the docstring derives, whether or not it fits
             k_max = max((length // 2).bit_length() - 1, 4)
@@ -139,16 +133,15 @@ class TestConfig:
                 tau_max=max(2, min(19, length - 1)),
                 k_min=max(2, k_max - 3) if method is Method.GM2 else 2,
                 k_max=k_max,
-                dfa_mode=mode,
             )
             rejection = _rejection(method, derived, length)
             try:
-                assert default_config(method, length, mode) == derived and rejection is None, length
+                assert default_config(method, length) == derived and rejection is None, length
             except SeriesTooShort as exc:
                 assert str(exc) == rejection, length
             # so it raises exactly where no valid config of the method fits
             valid = [
-                EstimatorConfig(tau_max=tau_max, k_max=k_max, dfa_mode=mode)
+                EstimatorConfig(tau_max=tau_max, k_max=k_max)
                 for tau_max in range(2, 21) for k_max in range(4, 7)
             ]
             fits = any(_rejection(method, cfg, length) is None for cfg in valid)
@@ -174,7 +167,7 @@ class TestConfig:
         check_length(Method.GM2, cfg, 33)
         with pytest.raises(SeriesTooShort, match=r"^gm2: largest block 2\*\*5 does not fit in 32 points$"):
             check_length(Method.GM2, cfg, 32)
-        check_length(Method.DFA, replace(cfg, dfa_mode=DFA_MODE_RAW), 33)
+        check_length(Method.DFA, cfg, 34)
         with pytest.raises(SeriesTooShort, match=r"^dfa: largest block 2\*\*5 does not fit in 32 points$"):
             check_length(Method.DFA, cfg, 33)
 
@@ -182,7 +175,7 @@ class TestConfig:
     def test_default_config_is_one_object_per_integer_length(self, method):
         cfg = default_config(method, 512)
         assert default_config(method, np.int64(512)) is cfg
-        assert default_config(method, np.int32(512), DFA_MODE_PROFILE) is cfg
+        assert default_config(method, np.int32(512)) is cfg
         assert type(cfg.k_max) is int and cfg == default_config(method, 512)
 
     @pytest.mark.parametrize("length", [512.0, "512", None])
@@ -217,12 +210,12 @@ class TestConfig:
             assert _outcome(lambda: estimate_rows(method, windows)) == _outcome(
                 lambda: estimate_rows(method, windows, default_config(method, length))
             ), method
-        # raw mode detrends what profile mode detrends after one more leading point
-        leading = np.hstack([np.full((len(windows), 1), 7.0), windows])
-        raw = lambda: default_config(Method.DFA, length, DFA_MODE_RAW)
-        assert _outcome(lambda: estimate_rows(Method.DFA, windows, raw())) == _outcome(
-            lambda: estimate_rows(Method.DFA, leading, replace(raw(), dfa_mode=DFA_MODE_PROFILE))
-        )
+        # DFA of all the points of a window is DFA of the window after any one more leading point
+        cfg = default_config(Method.DFA, length + 1)
+        every_point = lambda: fit_statistic(Method.DFA, _detrended_fluctuations(windows, cfg.scales(), cfg.q), cfg)
+        for lead in (np.full((len(windows), 1), 7.0), windows[:, :1]):
+            leading = np.hstack([lead, windows])
+            assert _outcome(lambda: estimate_rows(Method.DFA, leading)) == _outcome(every_point)
 
 
 def _rejection(method, cfg, length):
@@ -366,9 +359,11 @@ class TestDfa:
         x = generate_fbm(FbmSpec(h=0.5, length=256, seed=11))
         increments = np.diff(x.values)
         profile = np.cumsum(increments - increments.mean())
-        for mode, signal in ((DFA_MODE_PROFILE, profile), (DFA_MODE_RAW, x.values)):
-            cfg = replace(default_config(Method.DFA, 256, mode), q=q)
-            est = dfa(x, cfg)
+        # all of the log prices are detrended after one more leading point
+        leading = _series(np.r_[0.0, x.values])
+        for window, signal in ((x, profile), (leading, x.values)):
+            cfg = replace(default_config(Method.DFA, len(window)), q=q)
+            est = dfa(window, cfg)
             expected = []
             for m in cfg.scales():
                 blocks = _blocks(signal, m)
@@ -380,7 +375,7 @@ class TestDfa:
                     powers.append(np.mean(resid ** 2) ** (cfg.q / 2.0))
                 expected.append(np.mean(powers) ** (1.0 / cfg.q))
             slope = np.polyfit(np.log(cfg.scales()), np.log(expected), 1)[0]
-            assert est.h == pytest.approx(slope, abs=1e-9), mode
+            assert est.h == pytest.approx(slope, abs=1e-9), len(window)
 
     def test_cached_block_ramp_is_read_only(self):
         dt, dt_norm, ones = _block_ramp(16)
@@ -389,25 +384,6 @@ class TestDfa:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_raw_mode_close_to_profile_mode(self):
-        x = generate_fbm(FbmSpec(h=0.6, length=512, seed=21))
-        raw = default_config(Method.DFA, 512, DFA_MODE_RAW)
-        assert dfa(x, raw).h == pytest.approx(dfa(x).h, abs=0.15)
-
-    def test_raw_config_runs_raw_mode(self):
-        # a config from default_config carries its mode to the kernel
-        x = generate_fbm(FbmSpec(h=0.6, length=512, seed=21))
-        raw = default_config(Method.DFA, 512, DFA_MODE_RAW)
-        assert raw.dfa_mode == DFA_MODE_RAW and raw != default_config(Method.DFA, 512)
-        assert dfa(x, raw).h != dfa(x).h
-        assert dfa(x, raw).h == pytest.approx(0.7170, abs=5e-5)
-        assert dfa(x).h == pytest.approx(0.6646, abs=5e-5)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown dfa mode 'bogus'"):
-            EstimatorConfig(dfa_mode="bogus")
-        with pytest.raises(ValueError, match="unknown dfa mode"):
-            default_config(Method.DFA, 64, "bogus")
 
 
 class TestGm2:
@@ -549,8 +525,9 @@ class TestSharedBehavior:
         shift = np.round(shift * grid) / grid
         assert np.all((v + shift) - shift == v)
         x1, x2 = _series(v), _series(v + shift)
-        raw = lambda x: dfa(x, default_config(Method.DFA, len(x), DFA_MODE_RAW))
-        for est in (ghe, gm2, dfa, raw):
+        # DFA of all of the log prices: the prepended point is the same in both
+        every_point = lambda x: dfa(_series(np.r_[0.0, x.values]))
+        for est in (ghe, gm2, dfa, every_point):
             assert est(x1).h == est(x2).h
 
 

@@ -7,8 +7,6 @@ import pytest
 
 import exact_reference as ref
 from hurstlab import (
-    DFA_MODE_PROFILE,
-    DFA_MODE_RAW,
     DegenerateRegression,
     FbmSpec,
     LogSeries,
@@ -38,15 +36,14 @@ def _series(values):
     return LogSeries("X", np.arange(len(values)), values)
 
 
-def _pool_rows(method, windows, seed, dfa_mode=DFA_MODE_PROFILE):
+def _pool_rows(method, windows, seed):
     """20 seeded rows of each ``method`` pool of a 6 x 400 scan, as (window, h, the window's log prices)."""
     drift = {0.3: 0.0, 0.5: 0.0002, 0.7: 0.0004}
     universe = generate_drifted_cohort(6, 400, tuple(drift), drift, seed=0, scale=0.005)
     log_prices = {series.instrument_id: np.log(series.prices) for series in universe}
     rng = np.random.Generator(np.random.PCG64(seed))
     for window in windows:
-        cfg = default_config(method, window, dfa_mode=dfa_mode)
-        pool = scan(universe, ScanSpec(window=window, methods=(method,), configs={method: cfg})).pools[method]
+        pool = scan(universe, ScanSpec(window=window, methods=(method,))).pools[method]
         for i in rng.choice(len(pool), size=20, replace=False).tolist():
             end = int(pool.window_end[i])
             yield window, pool.h[i], log_prices[pool.instrument_id[i]][end - window + 1 : end + 1]
@@ -136,19 +133,19 @@ def test_ghe_pools_of_a_scan_agree_with_the_exact_reference():
 
 @pytest.mark.parametrize("length", [32, 33, 64, 100, 512, 8192])
 def test_reference_dfa_scales_are_the_estimator_defaults(length):
-    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
-        assert ref.dfa_scales(length) == list(default_config(Method.DFA, length, dfa_mode=mode).scales())
+    assert ref.dfa_scales(length) == list(default_config(Method.DFA, length).scales())
 
 
 @pytest.mark.parametrize("length", [64, 512])
 @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
 def test_dfa_agrees_with_the_exact_reference_on_fbm(h, length):
     values = generate_fbm(FbmSpec(h=h, length=length, seed=34_000)).values
-    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+    # the log prices themselves are detrended after one more leading point
+    for window, mode in ((values, "profile"), (np.r_[0.0, values], "raw")):
         residuals = ref.dfa_block_residuals(values, mode)  # exact and slow, so shared by every q
         for q in (0.5, 1.0, 2.0, 3.0):
-            cfg = replace(default_config(Method.DFA, length, dfa_mode=mode), q=q)
-            assert abs(dfa(_series(values), cfg).h - ref.dfa_from_residuals(residuals, q)) <= TOLERANCE, (mode, q)
+            cfg = replace(default_config(Method.DFA, len(window)), q=q)
+            assert abs(dfa(_series(window), cfg).h - ref.dfa_from_residuals(residuals, q)) <= TOLERANCE, (mode, q)
 
 
 def test_dfa_agrees_with_the_exact_reference_on_degenerate_rows():
@@ -164,18 +161,20 @@ def test_dfa_agrees_with_the_exact_reference_on_degenerate_rows():
     partly_halted = values[204 : 204 + 32]  # its first 4- and 8-point profile blocks are still exactly linear
     assert abs(dfa(_series(partly_halted)).h - ref.dfa(partly_halted)) <= TOLERANCE
     constant = np.full(64, 2.0)
-    for mode in (DFA_MODE_PROFILE, DFA_MODE_RAW):
+    for window, mode in ((constant, "profile"), (np.r_[0.0, constant], "raw")):
         with pytest.raises(DegenerateRegression):
-            dfa(_series(constant), default_config(Method.DFA, 64, dfa_mode=mode))
+            dfa(_series(window))
         with pytest.raises(DegenerateRegression):
             ref.dfa(constant, mode=mode)
 
 
 def test_dfa_pools_of_a_scan_agree_with_the_exact_reference():
-    # the batched path meets the reference too, in both modes
-    for windows, seed, mode in (((32, 64, 128), 23, DFA_MODE_PROFILE), ((64,), 24, DFA_MODE_RAW)):
-        for window, h, values in _pool_rows(Method.DFA, windows, seed, mode):
-            assert abs(h - ref.dfa(values, mode=mode)) <= TOLERANCE, (mode, window, h)
+    # the batched path meets the reference too
+    for window, h, values in _pool_rows(Method.DFA, (32, 64, 128), seed=23):
+        assert abs(h - ref.dfa(values)) <= TOLERANCE, (window, h)
+    # a 65-point window holds one point before the 64 log prices that are detrended in full
+    for window, h, values in _pool_rows(Method.DFA, (65,), seed=24):
+        assert abs(h - ref.dfa(values[1:], mode="raw")) <= TOLERANCE, (window, h)
 
 
 def _run_reports(name, scratch):

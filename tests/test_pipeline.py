@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hurstlab import (
     ANY_LABEL,
-    DFA_MODE_RAW,
     DuplicateInstrument,
     EmptyUniverse,
     EstimatorConfig,
@@ -425,14 +424,6 @@ class TestColumnarScanOracle:
         result = self._check(self._universe(), ScanSpec(window=64, roll_step=roll_step))
         # MIKE's halt (days 40-149) holds a whole window at every roll but 77, whose one MIKE window ends on day 63
         assert any(d.method is not None for d in result.diagnostics) == (roll_step != 77)
-
-    @pytest.mark.parametrize("roll_step", [1, 7, 64, 77])
-    def test_raw_mode_dfa_matches_the_one_row_dfa(self, roll_step):
-        universe, raw = self._universe(), default_config(Method.DFA, 64, DFA_MODE_RAW)
-        result = self._check(universe, ScanSpec(window=64, roll_step=roll_step, configs={Method.DFA: raw}))
-        assert any(d.method is not None for d in result.diagnostics) == (roll_step != 77)
-        profile = scan(universe, ScanSpec(window=64, roll_step=roll_step))
-        assert result.pools[Method.DFA].h.tolist() != profile.pools[Method.DFA].h.tolist()
 
     # a budget that flushes every two or three instruments, and the real one, which flushes
     # once the 3,200-day members fill it; roll 63 overlaps the windows, 64 abuts them and 80 leaves gaps
